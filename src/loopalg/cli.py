@@ -123,7 +123,10 @@ def _merge_config(args):
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as handle:
-            merged.update(json.load(handle))
+            loaded = json.load(handle)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        merged.update(loaded)
     for key in merged:
         value = getattr(args, key, None)
         if value is not None:

@@ -171,17 +171,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers are not defined for Poly")
-        result = Poly.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power_by_squaring(self, exponent, Poly.const(1))
 
     # -- structure queries -------------------------------------------------
 
@@ -250,6 +240,20 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def power_by_squaring(base, exponent: int, one):
+    """base ** exponent by repeated squaring; `one` is the result for 0."""
+    if exponent < 0:
+        raise ValueError("negative powers are not defined here")
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return one if result is None else result
 
 
 def _coerce(value):

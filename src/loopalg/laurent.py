@@ -25,6 +25,7 @@ raises PrecisionExhaustedError rather than returning an empty answer.
 from typing import NamedTuple, Optional
 
 from .errors import PrecisionExhaustedError
+from .exactpoly import power_by_squaring
 
 
 class AtLeastCap(NamedTuple):
@@ -218,12 +219,8 @@ class TruncSeries:
         )
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative series powers are not supported here")
-        result = TruncSeries.constant(1) if exponent == 0 else self
-        for _ in range(exponent - 1):
-            result = result * self
-        return result
+        # [k*floor, cap + (k-1)*floor) is the window in any multiplication order.
+        return power_by_squaring(self, exponent, TruncSeries.constant(1))
 
     # -- comparisons -------------------------------------------------------------
 

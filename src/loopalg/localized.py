@@ -10,22 +10,33 @@ Two fraction-like types live here:
     algebraic localisation; the denominator series is passed to each
     operation rather than stored.
 
-Both normalize by cancelling exact common factors of the denominator
-generator; equality falls back to cross-multiplication, so normalization is
-an optimization of the representative, never a semantic requirement.
+A ``LocalizedCoef`` is reduced once, in its constructor, which cancels the
+base while it divides the numerator. The coefficient ring is an integral
+domain, so the reduced form is unique and equality is structural.
+
+The model map sends num/a^p to a series over the lowest coefficient L = s_m
+of a = sum s_k z^k without dividing. As a = L z^m (1 + sum_k s_{m+k}
+L^(k-1) (z/L)^k), the inverse of a is N_r / L^(r+1) at z^(r-m), where
+N_0 = 1 and N_r = -sum_{k=1..r} s_{m+k} L^(k-1) N_{r-k}. In the p-th power
+of these numerators offset r sits over L^(r+p); entering num's coefficient
+at offset j as num_j L^j keeps offset r of the product over L^(r+p).
 """
 
 from fractions import Fraction
 
 from . import laurent
 from .exactpoly import Poly, div_exact
-from .errors import GoodElementViolationError
+from .errors import (
+    GoodElementViolationError,
+    NonInvertibleLeadingTermError,
+    PrecisionExhaustedError,
+)
 from .laurent import AtLeastCap, TruncSeries
 from .seminorm import SemiNormParams, SemiNormValue, seminorm_order, value_from_order
 
 
 class LocalizedCoef:
-    """num / base^pow with exact cancellation of base from the numerator."""
+    """num / base^pow, reduced: base does not divide num unless pow is 0."""
 
     __slots__ = ("num", "pow", "base")
     __hash__ = None
@@ -100,19 +111,14 @@ class LocalizedCoef:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers are not defined here")
-        result = LocalizedCoef(Poly.const(1), 0, self.base)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return LocalizedCoef(self.num ** exponent, self.pow * exponent, self.base)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # Cross-multiplication; the coefficient ring is an integral domain.
-        return self.num * other.base ** other.pow == other.num * self.base ** self.pow
+        # Both sides are reduced over one base, and reduced forms are unique.
+        return self.num == other.num and self.pow == other.pow
 
     def __str__(self):
         if self.pow == 0:
@@ -124,10 +130,6 @@ class LocalizedCoef:
 
     def __repr__(self):
         return f"LocalizedCoef({self})"
-
-
-def _coeff_div(value: Poly, lead: Poly):
-    return div_exact(value, lead)
 
 
 class LocalizedElem:
@@ -148,7 +150,7 @@ class LocalizedElem:
     def reduced(cls, num: TruncSeries, power: int, a: TruncSeries) -> "LocalizedElem":
         """Construct with exact cancellation of `a` where the numerator allows."""
         while power > 0:
-            quotient = laurent.divide_exact(num, a, _coeff_div)
+            quotient = laurent.divide_exact(num, a, div_exact)
             if quotient is None:
                 break
             num, power = quotient, power - 1
@@ -227,27 +229,63 @@ def lift_series(series: TruncSeries, base: Poly) -> TruncSeries:
     return series.map_coefficients(lambda c: LocalizedCoef.from_poly(c, base))
 
 
-def loc_to_model_with(
-    u: LocalizedElem, inverse: TruncSeries, base: Poly
-) -> TruncSeries:
-    """Substitute the precomputed inverse series for 1/a and multiply out."""
-    lifted = lift_series(u.num, base)
+def loc_to_model_with(u: LocalizedElem, a: TruncSeries) -> TruncSeries:
+    """Map u = num/a^pow into the localized coefficient model of a, on graded
+    Poly numerators (see the module docstring)."""
+    if a.is_zero_window():
+        raise NonInvertibleLeadingTermError("cannot invert a series with no known terms")
+    m_low = min(a.coeffs)
+    lead = a.coeffs[m_low]
     if u.pow == 0:
-        return lifted
-    return lifted * inverse ** u.pow
+        return lift_series(u.num, lead)
+    if a.cap is None and len(a.coeffs) > 1:
+        raise PrecisionExhaustedError(
+            "inverse of an exact multi-term series has unbounded support; "
+            "truncate the input to a finite cap first"
+        )
+    width = 1 if a.cap is None else a.cap - m_low
+    steps = [
+        (k, a.coeffs[m_low + k] * lead ** (k - 1))
+        for k in range(1, width)
+        if m_low + k in a.coeffs
+    ]
+    nums = [Poly.const(1)]
+    for r in range(1, width):
+        acc = Poly.zero()
+        for k, step in steps:
+            if k <= r:
+                acc = acc + step * nums[r - k]
+        nums.append(-acc)
+    inverse = TruncSeries(
+        {r - m_low: n for r, n in enumerate(nums)},
+        None if a.cap is None else a.cap - 2 * m_low,
+        floor=-m_low,
+    )
+    graded = TruncSeries(
+        {j: c * lead ** (j - u.num.floor) for j, c in u.num.coeffs.items()},
+        u.num.cap,
+        u.num.floor,
+    )
+    # Plain inversion (pow 1) takes no series power; the invert trace expects none.
+    product = graded * (inverse if u.pow == 1 else inverse ** u.pow)
+    return TruncSeries(
+        {
+            e: LocalizedCoef(t, e - product.floor + u.pow, lead)
+            for e, t in product.coeffs.items()
+        },
+        product.cap,
+        product.floor,
+    )
 
 
 def loc_to_model(
     u: LocalizedElem, f: Poly, dim: int, level: int, cap: int
 ) -> TruncSeries:
-    """Map into the localized coefficient model built from f at the given
-    truncation level, inverting the evaluated series at precision `cap`."""
+    """Map into the localized coefficient model of f(x(z)) at the given
+    truncation level and precision `cap`."""
     from . import loopspace  # deferred: loopspace builds on this module
 
-    a = loopspace.compose(f, loopspace.ev_series(dim, level, cap))
-    inverse = loopspace.invert_series(a, level)
-    base = a.coeffs[min(a.coeffs)]
-    return loc_to_model_with(u, inverse, base)
+    return loc_to_model_with(u, loopspace.compose(f, loopspace.ev_series(dim, level, cap)))
 
 
 def model_zero_test(level: int, base: Poly):

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .exactpoly import Poly, xvar, yvar
 from .laurent import TruncSeries
-from .localized import LocalizedCoef
+from .localized import LocalizedCoef, LocalizedElem, loc_to_model_with
 
 
 def ev_series(dim: int, level: int, cap: int):
@@ -155,43 +155,19 @@ def f_min(f: Poly, dim: int, level: int):
 
 
 def invert_series(s: TruncSeries, level: int) -> TruncSeries:
-    """Inverse of s in the localized coefficient model.
+    """Inverse of s in the localized coefficient model: the image of 1/s.
 
-    The lowest stored coefficient becomes the denominator generator; t is
-    solved coefficient by coefficient from s*t = 1. With W known
-    coefficients of s starting at z^m, t gets W known coefficients starting
-    at z^-m, so the product is exactly 1 on [0, W).
+    The lowest stored coefficient becomes the denominator generator. With W
+    known coefficients of s starting at z^m, t gets W known coefficients
+    starting at z^-m, so the product is exactly 1 on [0, W).
     """
     if s.is_zero_window():
         raise NonInvertibleLeadingTermError("cannot invert a series with no known terms")
-    m_low = min(s.coeffs)
-    lead = s.coeffs[m_low]
-    if not lead.project(level):
+    if not s.coeffs[min(s.coeffs)].project(level):
         raise NonInvertibleLeadingTermError(
             f"leading coefficient dies at projection level {level}"
         )
-    one_over_lead = LocalizedCoef(Poly.const(1), 1, lead)
-    if s.cap is None:
-        if len(s.coeffs) == 1:
-            return TruncSeries.exact({-m_low: one_over_lead})
-        raise PrecisionExhaustedError(
-            "inverse of an exact multi-term series has unbounded support; "
-            "truncate the input to a finite cap first"
-        )
-    width = s.cap - m_low
-    coeffs = {-m_low: one_over_lead}
-    zero = LocalizedCoef.from_poly(Poly.zero(), lead)
-    for r in range(1, width):
-        acc = zero
-        for a, sa in s.coeffs.items():
-            if a == m_low:
-                continue
-            tb = coeffs.get(r - a)
-            if tb is not None:
-                acc = acc + sa * tb
-        if acc:
-            coeffs[r - m_low] = -(acc * one_over_lead)
-    return TruncSeries(coeffs, s.cap - 2 * m_low, floor=-m_low)
+    return loc_to_model_with(LocalizedElem(TruncSeries.constant(Poly.const(1)), 1), s)
 
 
 def substitute_y(generator: Poly, inverse: TruncSeries, base: Poly) -> LocalizedCoef:

@@ -130,6 +130,29 @@ def _row(n, order, epsilon) -> ConvergenceRow:
     return ConvergenceRow(n, exponent, value.value, value.is_upper_bound)
 
 
+def _complement_setup(f, dim, j, norm_level, cap, loop_level):
+    """The evaluated series a = f(x(z)) at the loop level, and its inverse."""
+    degree = f.total_degree()
+    if loop_level is None:
+        loop_level = min(norm_level, j // degree) if degree else norm_level
+    if loop_level < 0 or degree * loop_level > j:
+        raise ValueError(
+            f"slot {j} lies below the inverse support at loop level {loop_level}"
+        )
+    a = compose(f, ev_series(dim, loop_level, cap))
+    return a, invert_series(a, loop_level)
+
+
+def _reference_term(series: TruncSeries, j: int, name: str) -> TruncSeries:
+    """The single z^j term of `series`, which the slot-j extractor targets."""
+    reference = series.coefficient(j)
+    if reference is None:
+        raise PrecisionExhaustedError(
+            f"{name} coefficient z^{j} is beyond the cap", required_cap=j + 1
+        )
+    return TruncSeries.exact({j: reference}) if reference else TruncSeries.zero()
+
+
 def convergence_experiment(
     dim: int,
     f: Optional[Poly],
@@ -160,38 +183,15 @@ def convergence_experiment(
         if loop_level is None:
             loop_level = max(norm_level, abs(j))
         target = ev_series(dim, loop_level, cap)[0]
-        reference = target.coefficient(j)
-        if reference is None:
-            raise PrecisionExhaustedError(
-                f"target coefficient z^{j} is beyond the cap", required_cap=j + 1
-            )
-        ref_series = (
-            TruncSeries.exact({j: reference}) if reference else TruncSeries.zero()
-        )
+        ref_series = _reference_term(target, j, "target")
         for n in n_values:
             diff = apply_nu_poly(make_projector(j, n), target) - ref_series
             rows.append(_row(n, seminorm_order(diff, norm_level), epsilon))
         return rows
 
-    degree = f.total_degree()
-    if loop_level is None:
-        loop_level = min(norm_level, j // degree) if degree else norm_level
-    if loop_level < 0 or degree * loop_level > j:
-        raise ValueError(
-            f"slot {j} lies below the inverse support at loop level {loop_level}"
-        )
-    a = compose(f, ev_series(dim, loop_level, cap))
-    inverse = invert_series(a, loop_level)
-    base = a.coeffs[min(a.coeffs)]
-    is_zero = model_zero_test(norm_level, base)
-    reference = inverse.coefficient(j)
-    if reference is None:
-        raise PrecisionExhaustedError(
-            f"inverse coefficient z^{j} is beyond the cap", required_cap=j + 1
-        )
-    ref_series = (
-        TruncSeries.exact({j: reference}) if reference else TruncSeries.zero()
-    )
+    a, inverse = _complement_setup(f, dim, j, norm_level, cap, loop_level)
+    is_zero = model_zero_test(norm_level, a.coeffs[min(a.coeffs)])
+    ref_series = _reference_term(inverse, j, "inverse")
     for n in n_values:
         diff = apply_nu_poly(make_projector(j, n), inverse) - ref_series
         rows.append(_row(n, diff.z_order(is_zero), epsilon))
@@ -222,30 +222,12 @@ def approximate_coefficient(
     reference term of the inverse series, and whether mapping to the model
     commutes with the diagonal action (it must).
     """
-    degree = f.total_degree()
-    if loop_level is None:
-        loop_level = min(norm_level, j // degree) if degree else norm_level
-    if loop_level < 0 or degree * loop_level > j:
-        raise ValueError(
-            f"slot {j} lies below the inverse support at loop level {loop_level}"
-        )
-    a = compose(f, ev_series(dim, loop_level, cap))
-    inverse = invert_series(a, loop_level)
-    base = a.coeffs[min(a.coeffs)]
-    one = TruncSeries.constant(Poly.const(1))
-    u = LocalizedElem.reduced(one, 1, a)
+    a, inverse = _complement_setup(f, dim, j, norm_level, cap, loop_level)
+    u = LocalizedElem.reduced(TruncSeries.constant(Poly.const(1)), 1, a)
     element = apply_nu_poly_localized(make_projector(j, n), u, a)
-    model = loc_to_model_with(element, inverse, base)
-    direct = apply_nu_poly(make_projector(j, n), loc_to_model_with(u, inverse, base))
-    commutes = model.agrees_with(direct)
-    reference = inverse.coefficient(j)
-    if reference is None:
-        raise PrecisionExhaustedError(
-            f"inverse coefficient z^{j} is beyond the cap", required_cap=j + 1
-        )
-    ref_series = (
-        TruncSeries.exact({j: reference}) if reference else TruncSeries.zero()
-    )
-    diff = model - ref_series
-    order = diff.z_order(model_zero_test(norm_level, base))
+    model = loc_to_model_with(element, a)
+    # The inverse is the model image of u = 1/a.
+    commutes = model.agrees_with(apply_nu_poly(make_projector(j, n), inverse))
+    diff = model - _reference_term(inverse, j, "inverse")
+    order = diff.z_order(model_zero_test(norm_level, a.coeffs[min(a.coeffs)]))
     return ApproxResult(element, value_from_order(order, epsilon), model, commutes)

@@ -149,6 +149,14 @@ class TestPlumbing:
                            "--cap", "3")
         assert code == 0 and len(json.loads(out)) == 4
 
+    def test_config_must_be_an_object(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        for payload in ([1, 2], 3, "x1"):
+            config.write_text(json.dumps(payload))
+            code, out, err = run(capsys, "relations", "--config", str(config))
+            assert code == 1 and out == "" and err.startswith("error: ")
+            assert "JSON object" in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rels.json"
         code, out, _ = run(capsys, "relations", "--f", "x1", "--d", "1",

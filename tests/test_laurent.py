@@ -91,6 +91,18 @@ class TestMul:
         assert out.cap == cap and out.floor == s.floor + t.floor
 
 
+class TestPow:
+    @given(rational_series(), strat.integers(min_value=0, max_value=5))
+    def test_matches_repeated_multiplication(self, s, k):
+        expected = TruncSeries.constant(1)
+        for _ in range(k):
+            expected = expected * s
+        power = s ** k
+        assert power == expected
+        if k:
+            assert (power.floor, power.cap) == (k * s.floor, s.cap + (k - 1) * s.floor)
+
+
 class TestDerivative:
     def test_square(self):
         s = frac_series({2: 1}, cap=5)

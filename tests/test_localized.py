@@ -5,7 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as strat
 
 from loopalg.errors import GoodElementViolationError
-from loopalg.exactpoly import Poly, const, parse_poly, xvar
+from loopalg.exactpoly import Poly, const, div_exact, parse_poly, xvar
 from loopalg.laurent import TruncSeries
 from loopalg.localized import (
     LocalizedCoef,
@@ -170,18 +170,18 @@ class TestLocDerivative:
 class TestModelMap:
     def test_inverse_maps_to_inverse(self, setting):
         f, a, lead, inverse = setting
-        model = loc_to_model_with(elem(poly_const_series(1), 1), inverse, lead)
+        model = loc_to_model_with(elem(poly_const_series(1), 1), a)
         assert model.agrees_with(inverse)
 
     def test_a_over_a_is_one(self, setting):
         _, a, lead, inverse = setting
-        model = loc_to_model_with(elem(a, 1), inverse, lead)
+        model = loc_to_model_with(elem(a, 1), a)
         assert model.agrees_with(TruncSeries.constant(LocalizedCoef.from_poly(Poly.const(1), lead)))
 
     def test_power_zero_unchanged(self, setting):
         _, a, lead, inverse = setting
         b = TruncSeries({0: xvar(1, 1)}, 3, floor=0)
-        model = loc_to_model_with(elem(b, 0), inverse, lead)
+        model = loc_to_model_with(elem(b, 0), a)
         assert model.agrees_with(lift_series(b, lead))
 
     def test_convenience_wrapper(self, setting):
@@ -195,11 +195,11 @@ class TestModelMap:
     def test_model_map_is_ring_homomorphism(self, b1, b2, p1, p2):
         a, lead, inverse = _WIDE
         u, v = elem(b1, p1), elem(b2, p2)
-        lhs_add = loc_to_model_with(loc_add(u, v, a), inverse, lead)
-        rhs_add = loc_to_model_with(u, inverse, lead) + loc_to_model_with(v, inverse, lead)
+        lhs_add = loc_to_model_with(loc_add(u, v, a), a)
+        rhs_add = loc_to_model_with(u, a) + loc_to_model_with(v, a)
         assert lhs_add.agrees_with(rhs_add)
-        lhs_mul = loc_to_model_with(loc_mul(u, v, a), inverse, lead)
-        rhs_mul = loc_to_model_with(u, inverse, lead) * loc_to_model_with(v, inverse, lead)
+        lhs_mul = loc_to_model_with(loc_mul(u, v, a), a)
+        rhs_mul = loc_to_model_with(u, a) * loc_to_model_with(v, a)
         assert lhs_mul.agrees_with(rhs_mul)
 
     @given(poly_series(level=1, min_floor=0), strat.integers(min_value=0, max_value=2))
@@ -208,7 +208,7 @@ class TestModelMap:
         u = elem(b, power)
         params = SemiNormParams(EPS, 1)
         direct = loc_seminorm(u, a, params)
-        model = model_seminorm(loc_to_model_with(u, inverse, lead), params, lead)
+        model = model_seminorm(loc_to_model_with(u, a), params, lead)
         if direct.is_upper_bound or model.is_upper_bound:
             return
         assert direct == model
@@ -217,9 +217,107 @@ class TestModelMap:
     def test_derivative_commutes_with_model_map(self, b, power):
         a, lead, inverse = _WIDE
         u = elem(b, power)
-        lhs = loc_to_model_with(loc_derivative(u, a), inverse, lead)
-        rhs = loc_to_model_with(u, inverse, lead).derivative()
+        lhs = loc_to_model_with(loc_derivative(u, a), a)
+        rhs = loc_to_model_with(u, a).derivative()
         assert lhs.agrees_with(rhs)
+
+
+def _reference_inverse(s):
+    """Inverse of s solved from s*t = 1 in LocalizedCoef arithmetic, which
+    reduces after every sum and product."""
+    m_low = min(s.coeffs)
+    lead = s.coeffs[m_low]
+    one_over_lead = LocalizedCoef(Poly.const(1), 1, lead)
+    if s.cap is None:
+        return TruncSeries.exact({-m_low: one_over_lead})
+    coeffs = {-m_low: one_over_lead}
+    for r in range(1, s.cap - m_low):
+        acc = LocalizedCoef.from_poly(Poly.zero(), lead)
+        for e, se in s.coeffs.items():
+            if e != m_low and r - e in coeffs:
+                acc = acc + se * coeffs[r - e]
+        if acc:
+            coeffs[r - m_low] = -(acc * one_over_lead)
+    return TruncSeries(coeffs, s.cap - 2 * m_low, floor=-m_low)
+
+
+def _reference_model(u, a):
+    """The model map as lift(num) * inverse^pow, in LocalizedCoef arithmetic."""
+    lifted = lift_series(u.num, a.coeffs[min(a.coeffs)])
+    return lifted if u.pow == 0 else lifted * _reference_inverse(a) ** u.pow
+
+
+_DIFF_SERIES = {
+    text: compose(parse_poly(text, 2), ev_series(2, 1, 4))
+    for text in ("x1", "x1 + x2", "x1*x2 + 1")
+}
+_DIFF_SERIES["exact 2*x1_-1*z^-1"] = TruncSeries.exact({-1: 2 * xvar(1, -1)})
+
+
+class TestModelMapMatchesReference:
+    @given(strat.sampled_from(sorted(_DIFF_SERIES)),
+           poly_series(dim=2, level=1, min_floor=-2, max_width=4),
+           strat.integers(min_value=0, max_value=3))
+    def test_random_numerators(self, name, num, power):
+        a = _DIFF_SERIES[name]
+        u = elem(num, power)
+        assert loc_to_model_with(u, a) == _reference_model(u, a)
+
+    @pytest.mark.parametrize("name", sorted(_DIFF_SERIES))
+    @pytest.mark.parametrize("power", [0, 1, 2, 3])
+    def test_numerators_one_and_a(self, name, power):
+        a = _DIFF_SERIES[name]
+        for num in (poly_const_series(1), a):
+            u = elem(num, power)
+            assert loc_to_model_with(u, a) == _reference_model(u, a)
+
+
+class TestInverseAgainstSympy:
+    """Each inverse coefficient num/L^pow is sympy's series coefficient of
+    1/f(x(z)), and num is reduced: L does not divide it when pow > 0."""
+
+    @pytest.mark.parametrize("text", ["x1", "x1 + x2", "x1*x2 + 1", "2*x1 + x2^2"])
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("cap", [3, 4])
+    def test_coefficients(self, text, level, cap):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.fields import field
+
+        a = compose(parse_poly(text, 2), ev_series(2, level, cap))
+        inverse = invert_series(a, level)
+        z = sympy.Symbol("z")
+        coords = {
+            name: sum(sympy.Symbol(f"{name}_{j}") * z**j for j in range(-level, cap))
+            for name in ("x1", "x2")
+        }
+        f_of_z = sympy.sympify(text.replace("^", "**"), locals=coords)
+        m_low = min(a.coeffs)
+        shifted = sympy.expand(f_of_z * z**-m_low)
+        series = sympy.expand(sympy.series(1 / shifted, z, 0, inverse.cap + m_low).removeO())
+        symbols = sorted(f_of_z.free_symbols - {z}, key=str)
+        rational_functions, *_ = field(symbols, sympy.QQ)
+
+        def to_sympy(poly):
+            total = sympy.Integer(0)
+            for mono, coeff in poly.terms.items():
+                term = sympy.Rational(coeff.numerator, coeff.denominator)
+                for ref, exp in mono:
+                    term *= sympy.Symbol(ref.render()) ** exp
+                total += term
+            return total
+
+        assert (inverse.floor, inverse.cap) == (-m_low, a.cap - 2 * m_low)
+        for e in range(inverse.floor, inverse.cap):
+            want = rational_functions.from_expr(series.coeff(z, e + m_low))
+            c = inverse.coefficient(e)
+            if not c:
+                assert want == 0
+                continue
+            base = rational_functions.from_expr(to_sympy(c.base))
+            got = rational_functions.from_expr(to_sympy(c.num)) / base ** c.pow
+            assert got == want
+            if c.pow > 0:
+                assert div_exact(c.num, c.base) is None
 
 
 class TestMultiplicativity:
