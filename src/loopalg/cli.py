@@ -134,6 +134,15 @@ def _merge_config(args):
     return merged
 
 
+def _int(key, value) -> int:
+    """The setting `key` as an int. A config file can hold any JSON value
+    there, so a wrong type is an input error, not a TypeError."""
+    try:
+        return int(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}") from None
+
+
 def _epsilon(cfg) -> Fraction:
     eps = Fraction(str(cfg["epsilon"]))
     if not 0 < eps < 1:
@@ -145,21 +154,26 @@ def _levels(cfg):
     raw = cfg["levels"]
     if isinstance(raw, str):
         return [int(part) for part in raw.split(",") if part.strip() != ""]
-    return [int(v) for v in raw]
+    if not isinstance(raw, list):
+        raise ValueError(f"levels must be a string or a list, got {json.dumps(raw)}")
+    return [_int("levels", v) for v in raw]
 
 
 def _require_f(cfg):
     if not cfg["f"]:
         raise ValueError("this command needs --f")
-    poly = parse_poly(str(cfg["f"]), int(cfg["d"]))
+    poly = parse_poly(str(cfg["f"]), _int("d", cfg["d"]))
     if not poly:
         raise ZeroPolynomialError("the zero polynomial is degenerate here")
     return poly
 
 
 def _emit(cfg, text):
-    if cfg["output"]:
-        with open(cfg["output"], "w", newline="") as handle:
+    output = cfg["output"]
+    if output:
+        if not isinstance(output, str):
+            raise ValueError(f"output must be a path, got {json.dumps(output)}")
+        with open(output, "w", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -186,7 +200,7 @@ def _norm_value_text(value) -> str:
 
 def cmd_relations(cfg, complement: bool) -> int:
     f = _require_f(cfg)
-    d, n, cap = int(cfg["d"]), int(cfg["n"]), int(cfg["cap"])
+    d, n, cap = _int("d", cfg["d"]), _int("n", cfg["n"]), _int("cap", cfg["cap"])
     if complement:
         rels = loopspace.complement_relations(f, d, n, cap)
     else:
@@ -204,14 +218,15 @@ def cmd_relations(cfg, complement: bool) -> int:
 
 
 def cmd_ev(cfg) -> int:
-    series = loopspace.ev_series(int(cfg["d"]), int(cfg["n"]), int(cfg["cap"]))
+    d, n, cap = _int("d", cfg["d"]), _int("n", cfg["n"]), _int("cap", cfg["cap"])
+    series = loopspace.ev_series(d, n, cap)
     _emit(cfg, "".join(f"{s}\n" for s in series))
     return EXIT_OK
 
 
 def cmd_invert(cfg) -> int:
     f = _require_f(cfg)
-    d, n, cap = int(cfg["d"]), int(cfg["n"]), int(cfg["cap"])
+    d, n, cap = _int("d", cfg["d"]), _int("n", cfg["n"]), _int("cap", cfg["cap"])
     m_low, lead = loopspace.f_min(f, d, n)
     composite = loopspace.compose(f, loopspace.ev_series(d, n, cap))
     inverse = loopspace.invert_series(composite, n)
@@ -222,7 +237,7 @@ def cmd_invert(cfg) -> int:
 
 def cmd_norm(cfg) -> int:
     f = _require_f(cfg)
-    d, n, cap = int(cfg["d"]), int(cfg["n"]), int(cfg["cap"])
+    d, n, cap = _int("d", cfg["d"]), _int("n", cfg["n"]), _int("cap", cfg["cap"])
     eps = _epsilon(cfg)
     composite = loopspace.compose(f, loopspace.ev_series(d, n, cap))
     records = []
@@ -269,10 +284,10 @@ def _converge_rows_text(cfg, rows) -> str:
 
 
 def cmd_converge(cfg, mode, j, n_max, norm_level, loop_level) -> int:
-    d, cap = int(cfg["d"]), int(cfg["cap"])
+    d, cap = _int("d", cfg["d"]), _int("cap", cfg["cap"])
     eps = _epsilon(cfg)
     if norm_level is None:
-        norm_level = int(cfg["level"])
+        norm_level = _int("level", cfg["level"])
     f = _require_f(cfg) if mode == "complement" else None
     rows = projector.convergence_experiment(
         d, f, j, range(1, n_max + 1), norm_level, eps, cap, loop_level
@@ -283,10 +298,10 @@ def cmd_converge(cfg, mode, j, n_max, norm_level, loop_level) -> int:
 
 def cmd_approx(cfg, j, band, norm_level, loop_level) -> int:
     f = _require_f(cfg)
-    d, cap = int(cfg["d"]), int(cfg["cap"])
+    d, cap = _int("d", cfg["d"]), _int("cap", cfg["cap"])
     eps = _epsilon(cfg)
     if norm_level is None:
-        norm_level = int(cfg["level"])
+        norm_level = _int("level", cfg["level"])
     result = projector.approximate_coefficient(
         f, d, j, band, norm_level, eps, cap, loop_level
     )
@@ -302,23 +317,24 @@ def cmd_approx(cfg, j, band, norm_level, loop_level) -> int:
 
 
 def cmd_check(cfg, suite: str) -> int:
-    d, n, cap = int(cfg["d"]), int(cfg["n"]), int(cfg["cap"])
+    d, n, cap = _int("d", cfg["d"]), _int("n", cfg["n"]), _int("cap", cfg["cap"])
     eps = _epsilon(cfg)
     levels = _levels(cfg)
-    rng = random.Random(int(cfg["seed"]))
+    rng = random.Random(_int("seed", cfg["seed"]))
     if suite == "good":
         f = _require_f(cfg)
         composite = loopspace.compose(f, loopspace.ev_series(d, max(levels), cap))
-        report = seminorm.check_good(composite, levels, int(cfg["max_power"]))
+        max_power = _int("max_power", cfg["max_power"])
+        report = seminorm.check_good(composite, levels, max_power)
     elif suite == "isometry":
         pairs = []
-        for _ in range(int(cfg["samples"])):
+        for _ in range(_int("samples", cfg["samples"])):
             s = sampling.random_series(rng, d, max(levels), -max(levels), cap)
             pairs.append((s, s))
         report = seminorm.check_isometry(pairs, levels)
     else:
         pairs = []
-        for _ in range(int(cfg["samples"])):
+        for _ in range(_int("samples", cfg["samples"])):
             s = sampling.random_series(rng, d, max(levels), -max(levels), cap)
             t = sampling.random_series(rng, d, max(levels), -max(levels), cap)
             pairs.append((s, t))

@@ -14,12 +14,14 @@ Representation:
                  exponents >= 1; the empty tuple is the constant monomial
 
 Zero coefficients are never stored, so two polynomials are equal exactly
-when their term dicts are equal. All coefficient arithmetic is exact
+when their term dicts are equal. Terms are ordered by graded lex (total
+degree, then exponents in VarRef order), largest first; the order is a
+single sort key, ``_mono_key``, used both for printing and for picking
+leading terms in ``div_exact``. All coefficient arithmetic is exact
 rational arithmetic; nothing here ever rounds.
 """
 
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import NamedTuple, Union
 
 from .errors import DimensionMismatchError, PolyParseError, UnknownVariableError
@@ -39,7 +41,7 @@ class VarRef(NamedTuple):
     def render(self) -> str:
         if self.family == "y":
             return f"y_{self.index}"
-        if self.index is AMBIENT or self.index == AMBIENT:
+        if self.index == AMBIENT:
             return f"x{self.coord}"
         return f"x{self.coord}_{self.index}"
 
@@ -60,26 +62,28 @@ def _mono_degree(mono):
     return sum(exp for _, exp in mono)
 
 
-def _mono_cmp(m1, m2):
-    """Graded lexicographic term order.
+def _mono_key(mono):
+    """Sort key of the graded lexicographic term order, largest monomial first.
 
     Total degree first; ties broken on the first variable (in VarRef order)
-    whose exponents differ, larger exponent winning. Multiplying both
-    monomials by a third shifts every exponent equally, so the comparison is
+    whose exponents differ, larger exponent winning. With degree and
+    exponents negated this is plain ascending tuple order: where two
+    (ref, -exp) lists first differ in ref, the smaller ref is absent from
+    the other monomial (exponent 0) and so sorts first. Multiplying both
+    monomials by a third shifts every exponent equally, so the order is
     compatible with multiplication; exact division depends on that.
     """
-    d1, d2 = _mono_degree(m1), _mono_degree(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    e1, e2 = dict(m1), dict(m2)
-    for ref in sorted(set(e1) | set(e2)):
-        a, b = e1.get(ref, 0), e2.get(ref, 0)
-        if a != b:
-            return 1 if a > b else -1
-    return 0
+    return (-_mono_degree(mono), tuple((ref, -exp) for ref, exp in mono))
 
 
-_mono_key = cmp_to_key(_mono_cmp)
+def _mono_div(mono, den_mono):
+    """The monomial mono/den_mono, or None when den_mono does not divide mono."""
+    exp = dict(mono)  # keeps mono's sorted order; no variable is added
+    for ref, e in den_mono:
+        if exp.get(ref, 0) < e:
+            return None
+        exp[ref] -= e
+    return tuple((ref, e) for ref, e in exp.items() if e)
 
 
 def _mono_render(mono):
@@ -191,14 +195,6 @@ class Poly:
             ref.family == "x" and ref.index == AMBIENT for ref in self.variables()
         )
 
-    def constant_value(self):
-        """The rational value of a constant polynomial, else None."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
-        return None
-
     # -- the projection homomorphisms ---------------------------------------
 
     def project(self, level: int) -> "Poly":
@@ -222,7 +218,7 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        ordered = sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]), reverse=True)
+        ordered = sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]))
         for i, (mono, coeff) in enumerate(ordered):
             sign = "-" if coeff < 0 else "+"
             mag = -coeff if coeff < 0 else coeff
@@ -298,34 +294,23 @@ def div_exact(num: Poly, den: Poly):
     if len(den.terms) == 1:
         # Monomial divisor: divide every term directly.
         ((den_mono, den_coeff),) = den.terms.items()
-        den_exp = dict(den_mono)
         out = {}
         for mono, coeff in num.terms.items():
-            exp = dict(mono)
-            for ref, e in den_exp.items():
-                if exp.get(ref, 0) < e:
-                    return None
-                exp[ref] -= e
-            q_mono = tuple(sorted((r, e) for r, e in exp.items() if e > 0))
+            q_mono = _mono_div(mono, den_mono)
+            if q_mono is None:
+                return None
             out[q_mono] = coeff / den_coeff
         return Poly(out)
-    den_mono, den_coeff = max(den.terms.items(), key=lambda kv: _mono_key(kv[0]))
-    den_exp = dict(den_mono)
+    den_mono = min(den.terms, key=_mono_key)
+    den_coeff = den.terms[den_mono]
     quotient = {}
     rem = dict(num.terms)
     while rem:
-        mono = max(rem, key=_mono_key)
-        coeff = rem[mono]
-        exp = dict(mono)
-        for ref, e in den_exp.items():
-            if exp.get(ref, 0) < e:
-                return None
-        q_mono = tuple(
-            sorted((ref, e) for ref, e in
-                   ((r, exp.get(r, 0) - den_exp.get(r, 0)) for r in set(exp) | set(den_exp))
-                   if e > 0)
-        )
-        q_coeff = coeff / den_coeff
+        mono = min(rem, key=_mono_key)
+        q_mono = _mono_div(mono, den_mono)
+        if q_mono is None:
+            return None
+        q_coeff = rem[mono] / den_coeff
         quotient[q_mono] = quotient.get(q_mono, Fraction(0)) + q_coeff
         for m2, c2 in den.terms.items():
             m = _mono_mul(q_mono, m2)

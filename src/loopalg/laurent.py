@@ -120,11 +120,12 @@ class TruncSeries:
             return other
         cap = _min_cap(self.cap, other.cap)
         floor = min(self.floor, other.floor)
-        out = {}
-        for m in set(self.coeffs) | set(other.coeffs):
+        out = {m: c for m, c in self.coeffs.items() if cap is None or m < cap}
+        for m, c in other.coeffs.items():
             if cap is not None and m >= cap:
                 continue
-            out[m] = self.coeffs.get(m, 0) + other.coeffs.get(m, 0)
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
         return TruncSeries(out, cap, floor)
 
     def __neg__(self):

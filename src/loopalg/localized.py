@@ -171,10 +171,6 @@ def loc_add(u: LocalizedElem, v: LocalizedElem, a: TruncSeries) -> LocalizedElem
     return LocalizedElem.reduced(num, p, a)
 
 
-def loc_sub(u: LocalizedElem, v: LocalizedElem, a: TruncSeries) -> LocalizedElem:
-    return loc_add(u, loc_scale(v, -1), a)
-
-
 def loc_mul(u: LocalizedElem, v: LocalizedElem, a: TruncSeries) -> LocalizedElem:
     return LocalizedElem.reduced(u.num * v.num, u.pow + v.pow, a)
 

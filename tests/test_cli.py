@@ -157,6 +157,22 @@ class TestPlumbing:
             assert code == 1 and out == "" and err.startswith("error: ")
             assert "JSON object" in err
 
+    def test_config_values_must_have_their_type(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        cases = [
+            ({"cap": None}, "cap must be an integer, got null"),
+            ({"cap": [1]}, "cap must be an integer, got [1]"),
+            ({"cap": float("inf")}, "cap must be an integer, got Infinity"),
+            ({"levels": 5}, "levels must be a string or a list, got 5"),
+            ({"levels": [0, None]}, "levels must be an integer, got null"),
+            ({"output": [1]}, "output must be a path, got [1]"),
+            ({"output": True}, "output must be a path, got true"),
+        ]
+        for payload, message in cases:
+            config.write_text(json.dumps(payload))
+            code, out, err = run(capsys, "norm", "--f", "x1", "--config", str(config))
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rels.json"
         code, out, _ = run(capsys, "relations", "--f", "x1", "--d", "1",

@@ -9,7 +9,18 @@ from loopalg.errors import (
     PolyParseError,
     UnknownVariableError,
 )
-from loopalg.exactpoly import AMBIENT, Poly, const, div_exact, parse_poly, xvar, yvar
+from loopalg.exactpoly import (
+    AMBIENT,
+    Poly,
+    _mono_degree,
+    _mono_key,
+    _mono_mul,
+    const,
+    div_exact,
+    parse_poly,
+    xvar,
+    yvar,
+)
 
 from .strategies import ambient_polys, polys
 
@@ -144,6 +155,65 @@ class TestPrinting:
 
     def test_negative_leading_term(self):
         assert str(-xvar(1) + const(5)) == "-x1 + 5"
+
+    def test_degree_ties_across_families_and_indices(self):
+        # Expected text printed by the comparator-sorted implementation.
+        p = xvar(1, -1) * yvar(0) + xvar(1, 0) ** 2 + xvar(1, -1) * xvar(2, 1)
+        assert str(p) == "x1_-1*x2_1 + x1_-1*y_0 + x1_0^2"
+        q = (p + 3 * xvar(2) * xvar(1, 2) - yvar(-1) ** 2 + xvar(2, -1) * yvar(0)
+             + xvar(1) + 2 * yvar(1) - 1)
+        assert str(q) == (
+            "x1_-1*x2_1 + x1_-1*y_0 + x1_0^2 + 3*x1_2*x2 + x2_-1*y_0 - y_-1^2"
+            " + x1 + 2*y_1 - 1"
+        )
+        # Ties decided by a larger exponent, and by an ambient x1 (after every
+        # indexed x1 in VarRef order, before any x2).
+        r = (p + xvar(1, 0) * xvar(2, 1) - xvar(1, -1) ** 2 + xvar(2, 1) ** 2
+             + xvar(1) * xvar(2))
+        assert str(r) == (
+            "-x1_-1^2 + x1_-1*x2_1 + x1_-1*y_0 + x1_0^2 + x1_0*x2_1 + x1*x2 + x2_1^2"
+        )
+
+
+def _reference_mono_cmp(m1, m2):
+    """The graded lex comparator the sort key replaced: total degree first,
+    then the first variable (in VarRef order) whose exponents differ, the
+    larger exponent winning."""
+    d1, d2 = _mono_degree(m1), _mono_degree(m2)
+    if d1 != d2:
+        return -1 if d1 < d2 else 1
+    e1, e2 = dict(m1), dict(m2)
+    for ref in sorted(set(e1) | set(e2)):
+        a, b = e1.get(ref, 0), e2.get(ref, 0)
+        if a != b:
+            return 1 if a > b else -1
+    return 0
+
+
+# Monomials of a product over few indexed x and y variables and ambient x:
+# many share a degree, and the constant monomial occurs too.
+_few = polys(min_index=-1, max_index=0, include_y=True)
+mono_sets = (
+    strat.tuples(_few, _few, ambient_polys())
+    .map(lambda pqr: list((pqr[0] * pqr[1] * pqr[2]).terms))
+    .filter(bool)
+)
+monos = mono_sets.flatmap(strat.sampled_from)
+
+
+class TestTermOrder:
+    @given(mono_sets)
+    def test_key_matches_reference_comparator(self, mono_list):
+        # Ascending key order is largest monomial first.
+        for m1 in mono_list:
+            for m2 in mono_list:
+                k1, k2 = _mono_key(m1), _mono_key(m2)
+                assert _reference_mono_cmp(m1, m2) == (k1 < k2) - (k1 > k2)
+
+    @given(monos, monos, monos)
+    def test_compatible_with_multiplication(self, m1, m2, m3):
+        if _mono_key(m1) < _mono_key(m2):
+            assert _mono_key(_mono_mul(m1, m3)) < _mono_key(_mono_mul(m2, m3))
 
 
 class TestDivExact:

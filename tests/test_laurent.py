@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as strat
 
 from loopalg.errors import PrecisionExhaustedError
 from loopalg.exactpoly import const, div_exact, xvar
 from loopalg.laurent import AtLeastCap, TruncSeries, divide_exact
+from loopalg.localized import LocalizedCoef
 
 from .strategies import poly_series, rational_series
 
@@ -37,6 +38,36 @@ class TestAdd:
         s = frac_series({0: 1}, cap=3, floor=-2)
         t = frac_series({1: 1}, cap=3, floor=0)
         assert (s + t).floor == -2
+
+    # Localized coefficients over the two-term base L = x1_-1 + x2_0.
+    _L = xvar(1, -1) + xvar(2, 0)
+
+    @given(poly_series(dim=2), poly_series(dim=2))
+    # Disjoint supports, Poly coefficients.
+    @example(TruncSeries({-1: xvar(1, -1), 0: xvar(1, 0)}, cap=2),
+             TruncSeries({1: xvar(2, 0) + const(1), 3: xvar(1, 1)}, cap=4, floor=1))
+    # A coefficient cancelling to zero, Poly coefficients, one side exact.
+    @example(TruncSeries({0: xvar(1, 0) + const(1), 1: xvar(1, 1)}, cap=3),
+             TruncSeries.exact({0: -xvar(1, 0) - const(1), 2: const(2)}))
+    # Disjoint supports, localized coefficients.
+    @example(TruncSeries({-1: LocalizedCoef(xvar(1, 0), 1, _L)}, cap=2, floor=-2),
+             TruncSeries({0: LocalizedCoef(const(1), 2, _L),
+                          1: LocalizedCoef(xvar(1, 1), 0, _L)}, cap=3))
+    # Localized coefficients: one sum cancels to zero, one to L/L^2 = 1/L.
+    @example(TruncSeries({0: LocalizedCoef(xvar(1, 0), 1, _L),
+                          1: LocalizedCoef(xvar(1, 0), 2, _L)}, cap=4),
+             TruncSeries({0: LocalizedCoef(-xvar(1, 0), 1, _L),
+                          1: LocalizedCoef(_L - xvar(1, 0), 2, _L),
+                          2: LocalizedCoef(const(3), 1, _L)}, cap=3))
+    def test_matches_zero_padded_sum(self, s, t):
+        # Oracle: pad a missing coefficient with 0, as in sum_m (s_m + t_m) z^m.
+        cap = min((c for c in (s.cap, t.cap) if c is not None), default=None)
+        padded = {
+            m: s.coeffs.get(m, 0) + t.coeffs.get(m, 0)
+            for m in set(s.coeffs) | set(t.coeffs)
+            if cap is None or m < cap
+        }
+        assert s + t == TruncSeries(padded, cap, min(s.floor, t.floor))
 
 
 class TestMul:
