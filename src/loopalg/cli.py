@@ -18,15 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import loopspace, projector, sampling, seminorm
-from .errors import (
-    GoodElementViolationError,
-    LoopAlgError,
-    NonInvertibleLeadingTermError,
-    PolyParseError,
-    PrecisionExhaustedError,
-    ZeroPolynomialError,
-    DimensionMismatchError,
-)
+from .errors import LoopAlgError, PrecisionExhaustedError, ZeroPolynomialError
 from .exactpoly import parse_poly
 from .seminorm import SemiNormParams
 
@@ -35,21 +27,6 @@ EXIT_INPUT = 1
 EXIT_PRECISION = 2
 EXIT_IO = 3
 EXIT_PROPERTY = 4
-
-_DEFAULTS = {
-    "d": 1,
-    "f": None,
-    "n": 1,
-    "cap": 8,
-    "epsilon": "1/2",
-    "level": 1,
-    "levels": "0,1,2,3,4",
-    "seed": 0,
-    "samples": 100,
-    "max_power": 3,
-    "output": None,
-    "format": None,
-}
 
 
 class _ArgumentError(Exception):
@@ -63,18 +40,114 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON file with default settings")
-    parser.add_argument("--d", type=int, help="ambient dimension")
-    parser.add_argument("--f", help="hypersurface polynomial, e.g. 'x1*x2 + 1'")
-    parser.add_argument("--n", type=int, help="truncation level")
-    parser.add_argument("--cap", type=int, help="series precision cap")
-    parser.add_argument("--epsilon", help="semi-norm base as p/q in (0,1)")
-    parser.add_argument("--level", type=int, help="semi-norm level")
-    parser.add_argument("--levels", help="comma-separated semi-norm levels")
-    parser.add_argument("--seed", type=int, help="seed for randomized suites")
-    parser.add_argument("--output", help="write output to this path (default stdout)")
-    parser.add_argument("--format", choices=["json", "csv", "text"])
+# -- settings -----------------------------------------------------------------
+#
+# A converter takes a setting's name and its flag text or config value. A
+# config value is read like its flag text: a string is that text, any other
+# JSON value its JSON spelling, so {"cap": 3} is read like --cap 3 and
+# {"cap": 2.7} is rejected like --cap 2.7.
+
+
+def _flag_text(value) -> str:
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _int(name, value) -> int:
+    try:
+        return int(_flag_text(value))
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}") from None
+
+
+def _epsilon(name, value) -> Fraction:
+    try:
+        eps = Fraction(_flag_text(value))
+    except (ValueError, ZeroDivisionError):
+        shown = json.dumps(value)
+        raise ValueError(f"{name} must be a fraction p/q, got {shown}") from None
+    if not 0 < eps < 1:
+        raise ValueError(f"{name} must lie strictly between 0 and 1, got {eps}")
+    return eps
+
+
+def _levels(name, value) -> list:
+    """Comma-separated text, or in a config file also a JSON list."""
+    if isinstance(value, str):
+        value = [part for part in value.split(",") if part.strip() != ""]
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a string or a list, got {json.dumps(value)}")
+    return [_int(name, v) for v in value]
+
+
+def _path(name, value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a path, got {json.dumps(value)}")
+    return value
+
+
+_FORMATS = ("json", "csv", "text")
+
+
+def _format(name, value) -> str:
+    if value not in _FORMATS:
+        raise ValueError(
+            f"{name} must be one of {', '.join(_FORMATS)}, got {json.dumps(value)}"
+        )
+    return value
+
+
+# name: (default, converter, help). Every setting is a config key; all but
+# the last two are flags of every command, those two of `check` only.
+_SETTINGS = {
+    "d": (1, _int, "ambient dimension"),
+    "f": (None, lambda name, value: _flag_text(value),
+          "hypersurface polynomial, e.g. 'x1*x2 + 1'"),
+    "n": (1, _int, "truncation level"),
+    "cap": (8, _int, "series precision cap"),
+    "epsilon": (Fraction(1, 2), _epsilon, "semi-norm base as p/q in (0,1)"),
+    "level": (1, _int, "semi-norm level"),
+    "levels": ((0, 1, 2, 3, 4), _levels, "comma-separated semi-norm levels"),
+    "seed": (0, _int, "seed for randomized suites"),
+    "output": (None, _path, "write output to this path (default stdout)"),
+    "format": (None, _format, None),
+    "samples": (100, _int, "number of random samples"),
+    "max_power": (3, _int, None),
+}
+_CHECK_ONLY = ("samples", "max_power")
+
+
+def _add_flags(parser, names):
+    for name in names:
+        # --format shows its choices, as an argparse choices= list would.
+        metavar = "{" + ",".join(_FORMATS) + "}" if name == "format" else None
+        parser.add_argument("--" + name.replace("_", "-"), metavar=metavar,
+                            help=_SETTINGS[name][2])
+
+
+def _settings(args) -> dict:
+    """Each setting from its flag, else the config file, else its default;
+    a flag or config value goes through the setting's converter."""
+    loaded = {}
+    if args.config:
+        with open(args.config) as handle:
+            loaded = json.load(handle)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        unknown = sorted(set(loaded) - set(_SETTINGS))
+        if unknown:
+            names = ", ".join(unknown)
+            raise ValueError(f"config file {args.config}: unknown setting {names}")
+    settings = {}
+    for name, (default, convert, _) in _SETTINGS.items():
+        value = getattr(args, name, None)
+        if value is None:
+            value = loaded.get(name)
+        # A config null unsets f, output and format, which have no default.
+        if value is None and (name not in loaded or default is None):
+            settings[name] = default
+        else:
+            settings[name] = convert(name, value)
+    return settings
 
 
 def _build_parser():
@@ -82,98 +155,57 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("relations", help="ideal generators of the truncated loops")
+    p.set_defaults(run=cmd_relations)
     p.add_argument("--complement", action="store_true",
                    help="relations of the hypersurface complement instead")
-    _add_common(p)
 
     p = sub.add_parser("ev", help="print the coordinate evaluation series")
-    _add_common(p)
+    p.set_defaults(run=cmd_ev)
 
     p = sub.add_parser("invert", help="lowest term of f(x(z)) and its inverse series")
-    _add_common(p)
+    p.set_defaults(run=cmd_invert)
 
     p = sub.add_parser("norm", help="semi-norms of f(x(z)) at the chosen levels")
-    _add_common(p)
+    p.set_defaults(run=cmd_norm)
 
     p = sub.add_parser("converge", help="extractor convergence distance table")
+    p.set_defaults(run=cmd_converge)
     p.add_argument("--mode", choices=["plain", "complement"], default="plain")
     p.add_argument("--j", type=int, default=0, help="target z-power")
     p.add_argument("--n-max", type=int, default=5, help="largest band width")
     p.add_argument("--N", type=int, dest="norm_level", help="semi-norm level")
     p.add_argument("--loop-level", type=int, help="truncation level of the target")
-    _add_common(p)
 
     p = sub.add_parser("approx", help="one localized approximant and its distance")
+    p.set_defaults(run=cmd_approx)
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--band", type=int, default=1, help="extractor band width")
     p.add_argument("--N", type=int, dest="norm_level", help="semi-norm level")
     p.add_argument("--loop-level", type=int)
-    _add_common(p)
 
     p = sub.add_parser("check", help="run a property suite")
+    p.set_defaults(run=cmd_check)
     p.add_argument("suite", choices=["good", "isometry", "ultrametric"])
-    p.add_argument("--samples", type=int, help="number of random samples")
-    p.add_argument("--max-power", type=int, dest="max_power")
-    _add_common(p)
+    _add_flags(p, _CHECK_ONLY)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON file with default settings")
+        _add_flags(p, [name for name in _SETTINGS if name not in _CHECK_ONLY])
     return parser
-
-
-def _merge_config(args):
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        with open(args.config) as handle:
-            loaded = json.load(handle)
-        if not isinstance(loaded, dict):
-            raise ValueError(f"config file {args.config} must hold a JSON object")
-        merged.update(loaded)
-    for key in merged:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _int(key, value) -> int:
-    """The setting `key` as an int. A config file can hold any JSON value
-    there, so a wrong type is an input error, not a TypeError."""
-    try:
-        return int(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}") from None
-
-
-def _epsilon(cfg) -> Fraction:
-    eps = Fraction(str(cfg["epsilon"]))
-    if not 0 < eps < 1:
-        raise ValueError(f"epsilon must lie strictly between 0 and 1, got {eps}")
-    return eps
-
-
-def _levels(cfg):
-    raw = cfg["levels"]
-    if isinstance(raw, str):
-        return [int(part) for part in raw.split(",") if part.strip() != ""]
-    if not isinstance(raw, list):
-        raise ValueError(f"levels must be a string or a list, got {json.dumps(raw)}")
-    return [_int("levels", v) for v in raw]
 
 
 def _require_f(cfg):
     if not cfg["f"]:
         raise ValueError("this command needs --f")
-    poly = parse_poly(str(cfg["f"]), _int("d", cfg["d"]))
+    poly = parse_poly(cfg["f"], cfg["d"])
     if not poly:
         raise ZeroPolynomialError("the zero polynomial is degenerate here")
     return poly
 
 
 def _emit(cfg, text):
-    output = cfg["output"]
-    if output:
-        if not isinstance(output, str):
-            raise ValueError(f"output must be a path, got {json.dumps(output)}")
-        with open(output, "w", newline="") as handle:
+    if cfg["output"]:
+        with open(cfg["output"], "w", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -183,127 +215,94 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header, rows) -> str:
+def _emit_table(cfg, records, header, default_format):
+    """Write `records` as JSON, or as CSV rows of their values under `header`
+    with booleans in lower case; no --format or --format text means
+    `default_format`."""
+    fmt = default_format if cfg["format"] in (None, "text") else cfg["format"]
+    if fmt == "json":
+        _emit(cfg, _json_text(records))
+        return
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _norm_value_text(value) -> str:
-    return str(value.value)
+    for record in records:
+        writer.writerow(
+            str(v).lower() if isinstance(v, bool) else v for v in record.values()
+        )
+    _emit(cfg, buffer.getvalue())
 
 
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_relations(cfg, complement: bool) -> int:
+def cmd_relations(cfg, args) -> int:
     f = _require_f(cfg)
-    d, n, cap = _int("d", cfg["d"]), _int("n", cfg["n"]), _int("cap", cfg["cap"])
-    if complement:
-        rels = loopspace.complement_relations(f, d, n, cap)
+    if args.complement:
+        rels = loopspace.complement_relations(f, cfg["d"], cfg["n"], cfg["cap"])
     else:
-        rels = loopspace.relations([f], d, n, cap)
+        rels = loopspace.relations([f], cfg["d"], cfg["n"], cfg["cap"])
     records = [{"exponent": r.exponent, "generator": str(r.generator)} for r in rels]
-    if cfg["format"] == "csv":
-        text = _csv_text(
-            ["exponent", "generator"],
-            [[r["exponent"], r["generator"]] for r in records],
-        )
-    else:
-        text = _json_text(records)
-    _emit(cfg, text)
+    _emit_table(cfg, records, ["exponent", "generator"], "json")
     return EXIT_OK
 
 
-def cmd_ev(cfg) -> int:
-    d, n, cap = _int("d", cfg["d"]), _int("n", cfg["n"]), _int("cap", cfg["cap"])
-    series = loopspace.ev_series(d, n, cap)
+def cmd_ev(cfg, args) -> int:
+    series = loopspace.ev_series(cfg["d"], cfg["n"], cfg["cap"])
     _emit(cfg, "".join(f"{s}\n" for s in series))
     return EXIT_OK
 
 
-def cmd_invert(cfg) -> int:
+def cmd_invert(cfg, args) -> int:
     f = _require_f(cfg)
-    d, n, cap = _int("d", cfg["d"]), _int("n", cfg["n"]), _int("cap", cfg["cap"])
+    d, n = cfg["d"], cfg["n"]
     m_low, lead = loopspace.f_min(f, d, n)
-    composite = loopspace.compose(f, loopspace.ev_series(d, n, cap))
+    composite = loopspace.compose(f, loopspace.ev_series(d, n, cfg["cap"]))
     inverse = loopspace.invert_series(composite, n)
-    text = f"f_min: exponent {m_low}, lead {lead}\ninverse: {inverse}\n"
-    _emit(cfg, text)
+    _emit(cfg, f"f_min: exponent {m_low}, lead {lead}\ninverse: {inverse}\n")
     return EXIT_OK
 
 
-def cmd_norm(cfg) -> int:
+def cmd_norm(cfg, args) -> int:
     f = _require_f(cfg)
-    d, n, cap = _int("d", cfg["d"]), _int("n", cfg["n"]), _int("cap", cfg["cap"])
-    eps = _epsilon(cfg)
-    composite = loopspace.compose(f, loopspace.ev_series(d, n, cap))
+    composite = loopspace.compose(f, loopspace.ev_series(cfg["d"], cfg["n"], cfg["cap"]))
     records = []
-    for level in _levels(cfg):
-        value = seminorm.seminorm(composite, SemiNormParams(eps, level))
+    for level in cfg["levels"]:
+        value = seminorm.seminorm(composite, SemiNormParams(cfg["epsilon"], level))
         records.append(
-            {
-                "level": level,
-                "value": _norm_value_text(value),
-                "upper_bound": value.is_upper_bound,
-            }
+            {"level": level, "value": str(value.value), "upper_bound": value.is_upper_bound}
         )
-    if cfg["format"] == "csv":
-        text = _csv_text(
-            ["level", "value", "upper_bound"],
-            [[r["level"], r["value"], str(r["upper_bound"]).lower()] for r in records],
-        )
-    else:
-        text = _json_text(records)
-    _emit(cfg, text)
+    _emit_table(cfg, records, ["level", "value", "upper_bound"], "json")
     return EXIT_OK
 
 
-def _converge_rows_text(cfg, rows) -> str:
-    if cfg["format"] == "json":
-        return _json_text(
-            [
-                {
-                    "n": r.n,
-                    "ord_exponent": r.ord_exponent,
-                    "distance": str(r.distance),
-                    "upper_bound": r.upper_bound,
-                }
-                for r in rows
-            ]
-        )
-    return _csv_text(
-        ["n", "ord_exponent", "distance_as_rational", "upper_bound_flag"],
-        [
-            [r.n, r.ord_exponent, str(r.distance), str(r.upper_bound).lower()]
-            for r in rows
-        ],
-    )
-
-
-def cmd_converge(cfg, mode, j, n_max, norm_level, loop_level) -> int:
-    d, cap = _int("d", cfg["d"]), _int("cap", cfg["cap"])
-    eps = _epsilon(cfg)
-    if norm_level is None:
-        norm_level = _int("level", cfg["level"])
-    f = _require_f(cfg) if mode == "complement" else None
+def cmd_converge(cfg, args) -> int:
+    norm_level = cfg["level"] if args.norm_level is None else args.norm_level
+    f = _require_f(cfg) if args.mode == "complement" else None
     rows = projector.convergence_experiment(
-        d, f, j, range(1, n_max + 1), norm_level, eps, cap, loop_level
+        cfg["d"], f, args.j, range(1, args.n_max + 1), norm_level, cfg["epsilon"],
+        cfg["cap"], args.loop_level,
     )
-    _emit(cfg, _converge_rows_text(cfg, rows))
+    records = [
+        {
+            "n": r.n,
+            "ord_exponent": r.ord_exponent,
+            "distance": str(r.distance),
+            "upper_bound": r.upper_bound,
+        }
+        for r in rows
+    ]
+    header = ["n", "ord_exponent", "distance_as_rational", "upper_bound_flag"]
+    _emit_table(cfg, records, header, "csv")
     return EXIT_OK
 
 
-def cmd_approx(cfg, j, band, norm_level, loop_level) -> int:
+def cmd_approx(cfg, args) -> int:
     f = _require_f(cfg)
-    d, cap = _int("d", cfg["d"]), _int("cap", cfg["cap"])
-    eps = _epsilon(cfg)
-    if norm_level is None:
-        norm_level = _int("level", cfg["level"])
+    norm_level = cfg["level"] if args.norm_level is None else args.norm_level
     result = projector.approximate_coefficient(
-        f, d, j, band, norm_level, eps, cap, loop_level
+        f, cfg["d"], args.j, args.band, norm_level, cfg["epsilon"], cfg["cap"],
+        args.loop_level,
     )
     payload = {
         "element": str(result.element),
@@ -316,29 +315,26 @@ def cmd_approx(cfg, j, band, norm_level, loop_level) -> int:
     return EXIT_OK
 
 
-def cmd_check(cfg, suite: str) -> int:
-    d, n, cap = _int("d", cfg["d"]), _int("n", cfg["n"]), _int("cap", cfg["cap"])
-    eps = _epsilon(cfg)
-    levels = _levels(cfg)
-    rng = random.Random(_int("seed", cfg["seed"]))
-    if suite == "good":
+def cmd_check(cfg, args) -> int:
+    d, cap, levels = cfg["d"], cfg["cap"], cfg["levels"]
+    rng = random.Random(cfg["seed"])
+    if args.suite == "good":
         f = _require_f(cfg)
         composite = loopspace.compose(f, loopspace.ev_series(d, max(levels), cap))
-        max_power = _int("max_power", cfg["max_power"])
-        report = seminorm.check_good(composite, levels, max_power)
-    elif suite == "isometry":
+        report = seminorm.check_good(composite, levels, cfg["max_power"])
+    elif args.suite == "isometry":
         pairs = []
-        for _ in range(_int("samples", cfg["samples"])):
+        for _ in range(cfg["samples"]):
             s = sampling.random_series(rng, d, max(levels), -max(levels), cap)
             pairs.append((s, s))
         report = seminorm.check_isometry(pairs, levels)
     else:
         pairs = []
-        for _ in range(_int("samples", cfg["samples"])):
+        for _ in range(cfg["samples"]):
             s = sampling.random_series(rng, d, max(levels), -max(levels), cap)
             t = sampling.random_series(rng, d, max(levels), -max(levels), cap)
             pairs.append((s, t))
-        report = seminorm.check_ultrametric(pairs, levels, eps)
+        report = seminorm.check_ultrametric(pairs, levels, cfg["epsilon"])
     _emit(cfg, _json_text(report.to_jsonable()))
     return EXIT_OK if report.passed else EXIT_PROPERTY
 
@@ -347,40 +343,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _merge_config(args)
-        if args.command == "relations":
-            return cmd_relations(cfg, args.complement)
-        if args.command == "ev":
-            return cmd_ev(cfg)
-        if args.command == "invert":
-            return cmd_invert(cfg)
-        if args.command == "norm":
-            return cmd_norm(cfg)
-        if args.command == "converge":
-            return cmd_converge(
-                cfg, args.mode, args.j, args.n_max, args.norm_level, args.loop_level
-            )
-        if args.command == "approx":
-            return cmd_approx(cfg, args.j, args.band, args.norm_level, args.loop_level)
-        if args.command == "check":
-            return cmd_check(cfg, args.suite)
-        raise _ArgumentError(f"unknown command {args.command}")
+        return args.run(_settings(args), args)
     except PrecisionExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (
-        _ArgumentError,
-        PolyParseError,
-        DimensionMismatchError,
-        ZeroPolynomialError,
-        NonInvertibleLeadingTermError,
-        GoodElementViolationError,
-        LoopAlgError,
-        ValueError,
-    ) as exc:
+    except (_ArgumentError, LoopAlgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

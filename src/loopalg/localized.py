@@ -274,16 +274,6 @@ def loc_to_model_with(u: LocalizedElem, a: TruncSeries) -> TruncSeries:
     )
 
 
-def loc_to_model(
-    u: LocalizedElem, f: Poly, dim: int, level: int, cap: int
-) -> TruncSeries:
-    """Map into the localized coefficient model of f(x(z)) at the given
-    truncation level and precision `cap`."""
-    from . import loopspace  # deferred: loopspace builds on this module
-
-    return loc_to_model_with(u, loopspace.compose(f, loopspace.ev_series(dim, level, cap)))
-
-
 def model_zero_test(level: int, base: Poly):
     """Zero test for LocalizedCoef coefficients at a projection level.
 

@@ -118,6 +118,12 @@ def _power_order(projected: TruncSeries, k: int):
         width *= 2
 
 
+def _require_cases(cases, what):
+    """A suite with no level or no sample checks nothing, so it cannot pass."""
+    if not cases:
+        raise ValueError(f"a property suite needs at least one {what}")
+
+
 def check_good(series: TruncSeries, levels, max_power: int) -> CheckReport:
     """Verify power-multiplicativity of the norms of `series`.
 
@@ -129,6 +135,7 @@ def check_good(series: TruncSeries, levels, max_power: int) -> CheckReport:
     """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
+    _require_cases(levels, "level")
     records = []
     all_pass = True
     for level in sorted(levels):
@@ -159,6 +166,8 @@ def check_isometry(pairs, levels) -> CheckReport:
     """Compare norms of elements against their images under the variable
     inclusion into the complement-side algebra (expected: equal, i.e. the
     inclusion is isometric with constants 1)."""
+    _require_cases(pairs, "sample")
+    _require_cases(levels, "level")
     records = []
     all_pass = True
     for sample, (element, image) in enumerate(pairs):
@@ -183,6 +192,8 @@ def check_isometry(pairs, levels) -> CheckReport:
 
 def check_ultrametric(pairs, levels, epsilon: Fraction) -> CheckReport:
     """Ultrametric and sub-multiplicative inequalities on sampled pairs."""
+    _require_cases(pairs, "sample")
+    _require_cases(levels, "level")
     records = []
     all_pass = True
     for sample, (s, t) in enumerate(pairs):

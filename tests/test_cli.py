@@ -138,6 +138,12 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_no_sample_is_input_error(self, capsys):
+        for suite, samples in (("isometry", "0"), ("ultrametric", "-2")):
+            code, out, err = run(capsys, "check", suite, "--d", "1", "--samples", samples)
+            assert (code, out) == (1, "")
+            assert err == "error: a property suite needs at least one sample\n"
+
 
 class TestPlumbing:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
@@ -167,11 +173,56 @@ class TestPlumbing:
             ({"levels": [0, None]}, "levels must be an integer, got null"),
             ({"output": [1]}, "output must be a path, got [1]"),
             ({"output": True}, "output must be a path, got true"),
+            ({"cap": 2.7}, "cap must be an integer, got 2.7"),
+            ({"cap": True}, "cap must be an integer, got true"),
+            ({"format": "xml"}, 'format must be one of json, csv, text, got "xml"'),
+            ({"caps": 5}, f"config file {config}: unknown setting caps"),
+            ({"j": 3, "f": "x1"}, f"config file {config}: unknown setting j"),
+            ({"epsilon": "1/0"}, 'epsilon must be a fraction p/q, got "1/0"'),
+            # norm reads neither seed nor samples.
+            ({"seed": "x"}, 'seed must be an integer, got "x"'),
+            ({"samples": 1.5}, "samples must be an integer, got 1.5"),
         ]
         for payload, message in cases:
             config.write_text(json.dumps(payload))
             code, out, err = run(capsys, "norm", "--f", "x1", "--config", str(config))
             assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_config_value_is_read_like_its_flag_text(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        flags = ("--d", "1", "--n", "2", "--cap", "5", "--epsilon", "0.25",
+                 "--levels", "0,1,2", "--format", "csv")
+        code, expected, _ = run(capsys, "norm", "--f", "x1", *flags)
+        assert code == 0
+        for payload in (
+            {"d": 1, "n": 2, "cap": 5, "epsilon": 0.25, "levels": [0, 1, 2], "format": "csv"},
+            {"d": "1", "n": "2", "cap": "5", "epsilon": "1/4", "levels": "0,1,2",
+             "format": "csv"},
+        ):
+            config.write_text(json.dumps(payload))
+            assert run(capsys, "norm", "--f", "x1", "--config", str(config)) == (
+                0, expected, ""
+            )
+
+    def test_config_null_unsets_f_output_and_format(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"f": None, "output": None, "format": None}))
+        assert run(capsys, "ev", "--config", str(config)) == run(capsys, "ev")
+        assert run(capsys, "relations", "--config", str(config)) == (
+            1, "", "error: this command needs --f\n"
+        )
+
+    def test_flag_values_are_checked_even_when_unread(self, capsys):
+        cases = [
+            (("norm", "--f", "x1", "--epsilon", "1/0"),
+             'epsilon must be a fraction p/q, got "1/0"'),
+            (("norm", "--f", "x1", "--cap", "2.7"), 'cap must be an integer, got "2.7"'),
+            # ev reads neither epsilon nor seed.
+            (("ev", "--epsilon", "3/2"), "epsilon must lie strictly between 0 and 1, got 3/2"),
+            (("ev", "--seed", "x"), 'seed must be an integer, got "x"'),
+        ]
+        for argv, message in cases:
+            assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rels.json"

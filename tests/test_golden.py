@@ -6,6 +6,7 @@ command ends in, fails here.
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -46,10 +47,56 @@ GOLDEN = [
      1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("relations", "--complement", "--f", "x1*x2+1", "--d", "2", "--n", "1", "--cap", "3"),
      0, "e1a84d20da18db682af525e99da9a81fd60a1c788e925c18945936bdab007e46"),
+    # Recorded before flags and config values shared one settings table: each
+    # output format of the table commands, ev, and each property suite.
+    (("relations", "--f", "x1*x2+1", "--d", "2", "--n", "1", "--cap", "3", "--format", "text"),
+     0, "c3fda89fbb8fb69d1249917fad0a0973c7b1c33373dd614cfd6a2e55255b7ed6"),
+    (("relations", "--f", "x1*x2+1", "--d", "2", "--n", "1", "--cap", "3", "--format", "csv"),
+     0, "0ac7e92bd46431fced2f2a9bda3fdc2fbdf6b4b868127fff6f26fd3e09ed1429"),
+    (("norm", "--f", "x1^2+x2", "--d", "2", "--n", "3", "--cap", "2", "--levels", "0,1,2,3",
+      "--format", "csv"),
+     0, "7908e5da2b17def5210dfb759ebecc2b0cb800d6f37f7e9dda65469c37786228"),
+    (("converge", "--mode", "plain", "--j", "1", "--n-max", "4", "--N", "1", "--d", "1",
+      "--cap", "7", "--format", "text"),
+     0, "41a9b09dba458fc57a20e23eb5f7d38bb68e4d5009e084eb713e703bbf962713"),
+    (("converge", "--mode", "plain", "--j", "1", "--n-max", "4", "--N", "1", "--d", "1",
+      "--cap", "7", "--format", "json"),
+     0, "bfb2d7675ba870737da264e2283168cb1afc895209cb9cbcba5ba97c935b8215"),
+    (("ev", "--d", "2", "--n", "1", "--cap", "3"),
+     0, "a44329ecc345f5cd75d1211623c818b315fb0a4e12ddfc28b33782d711b1d761"),
+    (("check", "good", "--f", "x1^2+x2", "--d", "2", "--cap", "8", "--levels", "0,1,2"),
+     0, "2ae3b6887547f667b90a61e8de6c5c7c81550976b4174925f99c7abc8add3375"),
+    (("check", "isometry", "--d", "2", "--samples", "5", "--seed", "7", "--levels", "0,1"),
+     0, "b4fc94c25b64611433d0e3c6dc906930dfd275b903763a6a4161dee84b52b38d"),
+    (("check", "ultrametric", "--d", "1", "--samples", "5", "--seed", "3", "--levels", "0,1"),
+     0, "f8760ebce1da0e58196c4f830d8a4dbd46b27113f5039ea4f5b4fd53af28ea41"),
 ]
+
+# The option strings each subcommand's --help listed before the settings table
+# generated the flags.
+COMMON_OPTIONS = {"-h", "--help", "--config", "--d", "--f", "--n", "--cap", "--epsilon",
+                  "--level", "--levels", "--seed", "--output", "--format"}
+OPTIONS = {
+    "relations": COMMON_OPTIONS | {"--complement"},
+    "ev": COMMON_OPTIONS,
+    "invert": COMMON_OPTIONS,
+    "norm": COMMON_OPTIONS,
+    "converge": COMMON_OPTIONS | {"--mode", "--j", "--n-max", "--N", "--loop-level"},
+    "approx": COMMON_OPTIONS | {"--j", "--band", "--N", "--loop-level"},
+    "check": COMMON_OPTIONS | {"--samples", "--max-power"},
+}
 
 
 @pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
 def test_golden_output(capsys, argv, code, digest):
     assert main(list(argv)) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_option_strings(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    assert set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", text)) == OPTIONS[command]

@@ -17,7 +17,6 @@ from loopalg.localized import (
     loc_mul,
     loc_scale,
     loc_seminorm,
-    loc_to_model,
     loc_to_model_with,
     model_seminorm,
     model_zero_test,
@@ -183,11 +182,6 @@ class TestModelMap:
         b = TruncSeries({0: xvar(1, 1)}, 3, floor=0)
         model = loc_to_model_with(elem(b, 0), a)
         assert model.agrees_with(lift_series(b, lead))
-
-    def test_convenience_wrapper(self, setting):
-        f, a, lead, inverse = setting
-        model = loc_to_model(elem(poly_const_series(1), 1), f, 1, 1, 8)
-        assert model.agrees_with(inverse)
 
     @given(poly_series(level=1, min_floor=0), poly_series(level=1, min_floor=0),
            strat.integers(min_value=0, max_value=2),

@@ -82,6 +82,11 @@ class TestCheckGood:
         }
         assert report.to_jsonable()["suite"] == "good"
 
+    def test_no_level_is_an_error(self):
+        s = loopspace.ev_series(1, 1, 3)[0]
+        with pytest.raises(ValueError, match="at least one level"):
+            check_good(s, [], 3)
+
 
 class TestCheckIsometry:
     def test_single_series(self):
@@ -102,6 +107,13 @@ class TestCheckIsometry:
     def test_inclusion_is_isometric(self, series):
         report = check_isometry([(series, series)], range(5))
         assert report.passed
+
+    def test_no_sample_or_level_is_an_error(self):
+        a = TruncSeries({-1: xvar(1, -1)}, cap=2, floor=-1)
+        with pytest.raises(ValueError, match="at least one sample"):
+            check_isometry([], [0, 1])
+        with pytest.raises(ValueError, match="at least one level"):
+            check_isometry([(a, a)], [])
 
 
 class TestUltrametricProperties:
@@ -131,6 +143,13 @@ class TestUltrametricProperties:
         t = TruncSeries({1: xvar(1, 1)}, cap=3, floor=0)
         report = check_ultrametric([(s, t)], [0, 1], EPS)
         assert report.passed and isinstance(report, CheckReport)
+
+    def test_check_ultrametric_needs_a_sample_and_a_level(self):
+        s = TruncSeries({0: xvar(1, 0)}, cap=3, floor=0)
+        with pytest.raises(ValueError, match="at least one sample"):
+            check_ultrametric([], [0, 1], EPS)
+        with pytest.raises(ValueError, match="at least one level"):
+            check_ultrametric([(s, s)], [], EPS)
 
 
 class TestTopologyWitness:
