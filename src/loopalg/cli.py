@@ -317,6 +317,8 @@ def cmd_approx(cfg, args) -> int:
 
 def cmd_check(cfg, args) -> int:
     d, cap, levels = cfg["d"], cfg["cap"], cfg["levels"]
+    if not levels:
+        raise ValueError("check needs at least one level")
     rng = random.Random(cfg["seed"])
     if args.suite == "good":
         f = _require_f(cfg)

@@ -9,19 +9,30 @@ polynomial is composed with coordinate series.
 
 Representation:
 
-    Poly.terms : dict mapping a monomial to a nonzero Fraction
+    Poly.terms : dict mapping a monomial to a nonzero coefficient, an int
+                 when it is integral and a Fraction otherwise
     monomial   : tuple of (VarRef, exponent) pairs, sorted by VarRef,
                  exponents >= 1; the empty tuple is the constant monomial
 
-Zero coefficients are never stored, so two polynomials are equal exactly
-when their term dicts are equal. Terms are ordered by graded lex (total
-degree, then exponents in VarRef order), largest first; the order is a
-single sort key, ``_mono_key``, used both for printing and for picking
-leading terms in ``div_exact``. All coefficient arithmetic is exact
-rational arithmetic; nothing here ever rounds.
+Zero coefficients are never stored and every coefficient is in the form
+``_exact`` gives it, so two polynomials are equal exactly when their term
+dicts are equal. Integer coefficients stay machine-cheap ``int``s; a
+``Fraction`` appears only where a real denominator does. The public
+``Poly(terms)`` constructor checks and normalises what it is given; the
+kernel's own results (sums, negations, products, quotients, projections)
+are built by ``_trusted``, which takes a dict already in that form.
+
+Terms are ordered by graded lex (total degree, then exponents in VarRef
+order), largest first; the order is a single sort key, ``_mono_key``, used
+both for printing and for picking leading terms in ``div_exact``. Division
+by a multi-term divisor keeps its remainder in a heap ordered by that key,
+so each step finds its leading term without rescanning the remainder. All
+coefficient arithmetic is exact rational arithmetic; nothing here ever
+rounds.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple, Union
 
 from .errors import DimensionMismatchError, PolyParseError, UnknownVariableError
@@ -92,8 +103,18 @@ def _mono_render(mono):
     )
 
 
+def _exact(value):
+    """value as a stored coefficient: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class Poly:
-    """Immutable-by-convention sparse polynomial with Fraction coefficients."""
+    """Immutable-by-convention sparse polynomial; coefficients are exact,
+    an int when integral and a Fraction otherwise."""
 
     __slots__ = ("terms",)
     __hash__ = None
@@ -102,7 +123,7 @@ class Poly:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff:
                     clean[mono] = coeff
         self.terms = clean
@@ -115,11 +136,11 @@ class Poly:
 
     @classmethod
     def const(cls, value) -> "Poly":
-        return cls({(): Fraction(value)})
+        return cls({(): value})
 
     @classmethod
     def variable(cls, ref: VarRef) -> "Poly":
-        return cls({((ref, 1),): Fraction(1)})
+        return _trusted({((ref, 1),): 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -142,13 +163,21 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Poly(out)
+            prev = out.get(mono)
+            if prev is None:
+                out[mono] = coeff
+                continue
+            coeff = _exact(prev + coeff)
+            if coeff:
+                out[mono] = coeff
+            else:
+                del out[mono]
+        return _trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({mono: -coeff for mono, coeff in self.terms.items()})
+        return _trusted({mono: -coeff for mono, coeff in self.terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -161,16 +190,19 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
-            return Poly({m: c * scalar for m, c in self.terms.items()})
+            scalar = _exact(other)
+            if not scalar:
+                return Poly()
+            return _trusted({m: _exact(c * scalar) for m, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _mono_mul(m1, m2)
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return Poly(out)
+                prev = out.get(mono)
+                out[mono] = c1 * c2 if prev is None else prev + c1 * c2
+        return _trusted({m: _exact(c) for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -210,7 +242,7 @@ class Poly:
         for mono, coeff in self.terms.items():
             if all(ref.index >= -level for ref, _ in mono):
                 out[mono] = coeff
-        return Poly(out)
+        return _trusted(out)
 
     # -- printing ----------------------------------------------------------
 
@@ -236,6 +268,14 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _trusted(terms):
+    """A Poly holding `terms` itself: every coefficient nonzero and already
+    in ``_exact`` form. Only the kernel's own results are built this way."""
+    poly = object.__new__(Poly)
+    poly.terms = terms
+    return poly
 
 
 def power_by_squaring(base, exponent: int, one):
@@ -285,7 +325,16 @@ def div_exact(num: Poly, den: Poly):
     Long division against the single divisor `den`, cancelling leading terms
     in the canonical monomial order. For an exact multiple the remainder
     reaches zero; any step whose leading monomial is not divisible by
-    den's leading monomial proves indivisibility.
+    den's leading monomial proves indivisibility. Each coefficient quotient
+    is a Fraction product, so no division ever rounds.
+
+    The remainder of a multi-term division lives in a dict and a heap of
+    (_mono_key(m), m), after Monagan & Pearce, "Sparse polynomial division
+    using a heap" (J. Symb. Comp. 46(7), 2011). Every term a step adds,
+    q_mono*m2 for a non-leading m2 of den, sorts after the lead it cancels
+    (the order is compatible with multiplication), so leads are popped in
+    order and each monomial enters the heap once; a term that cancels stays
+    in the dict as 0 until it is popped and skipped.
     """
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -294,32 +343,40 @@ def div_exact(num: Poly, den: Poly):
     if len(den.terms) == 1:
         # Monomial divisor: divide every term directly.
         ((den_mono, den_coeff),) = den.terms.items()
+        inverse = 1 / Fraction(den_coeff)
         out = {}
         for mono, coeff in num.terms.items():
             q_mono = _mono_div(mono, den_mono)
             if q_mono is None:
                 return None
-            out[q_mono] = coeff / den_coeff
-        return Poly(out)
+            out[q_mono] = _exact(coeff * inverse)
+        return _trusted(out)
     den_mono = min(den.terms, key=_mono_key)
-    den_coeff = den.terms[den_mono]
+    inverse = 1 / Fraction(den.terms[den_mono])
+    tail = [(m, c) for m, c in den.terms.items() if m != den_mono]
     quotient = {}
     rem = dict(num.terms)
-    while rem:
-        mono = min(rem, key=_mono_key)
+    heap = [(_mono_key(m), m) for m in rem]
+    heapify(heap)
+    while heap:
+        mono = heappop(heap)[1]
+        coeff = rem.pop(mono)
+        if not coeff:
+            continue
         q_mono = _mono_div(mono, den_mono)
         if q_mono is None:
             return None
-        q_coeff = rem[mono] / den_coeff
-        quotient[q_mono] = quotient.get(q_mono, Fraction(0)) + q_coeff
-        for m2, c2 in den.terms.items():
+        q_coeff = _exact(coeff * inverse)
+        quotient[q_mono] = q_coeff
+        for m2, c2 in tail:
             m = _mono_mul(q_mono, m2)
-            new = rem.get(m, Fraction(0)) - q_coeff * c2
-            if new:
-                rem[m] = new
+            prev = rem.get(m)
+            if prev is None:
+                rem[m] = -q_coeff * c2
+                heappush(heap, (_mono_key(m), m))
             else:
-                rem.pop(m, None)
-    return Poly(quotient)
+                rem[m] = prev - q_coeff * c2
+    return _trusted(quotient)
 
 
 # -- parsing ------------------------------------------------------------------

@@ -38,7 +38,13 @@ def random_poly(rng, dim: int, level: int, max_terms: int = 3,
 
 def random_series(rng, dim: int, level: int, floor: int, cap: int,
                   include_y: bool = False) -> TruncSeries:
-    """A truncated series with random polynomial coefficients (some zero)."""
+    """A truncated series with random polynomial coefficients (some zero).
+
+    Raises ValueError when cap <= floor: a sample with no coefficient
+    window would only ever give upper bounds.
+    """
+    if cap <= floor:
+        raise ValueError(f"cap {cap} leaves an empty window at level {-floor}")
     coeffs = {}
     for m in range(floor, cap):
         if rng.random() < 0.8:

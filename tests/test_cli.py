@@ -144,6 +144,35 @@ class TestCheck:
             assert (code, out) == (1, "")
             assert err == "error: a property suite needs at least one sample\n"
 
+    def test_empty_window_is_input_error(self, capsys):
+        # cap -3 at level 0 leaves the window [0, -3): every sample would
+        # hold no coefficient, so the suites must not pass on upper bounds.
+        expected = (1, "", "error: cap -3 leaves an empty window at level 0\n")
+        good = run(capsys, "check", "good", "--f", "x1", "--d", "1", "--cap", "-3",
+                   "--levels", "0")
+        assert good == expected
+        for suite in ("isometry", "ultrametric"):
+            assert run(capsys, "check", suite, "--d", "1", "--samples", "2",
+                       "--cap", "-3", "--levels", "0") == expected
+
+    def test_no_level_is_input_error(self, capsys, tmp_path):
+        expected = (1, "", "error: check needs at least one level\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"levels": []}))
+        for suite in ("good", "isometry", "ultrametric"):
+            assert run(capsys, "check", suite, "--f", "x1", "--d", "1",
+                       "--levels", "") == expected
+            assert run(capsys, "check", suite, "--f", "x1", "--d", "1",
+                       "--config", str(config)) == expected
+
+    def test_norm_without_levels_is_empty(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"levels": []}))
+        assert run(capsys, "norm", "--f", "x1", "--d", "1", "--levels", "") == (0, "[]\n", "")
+        assert run(capsys, "norm", "--f", "x1", "--d", "1", "--config", str(config)) == (
+            0, "[]\n", ""
+        )
+
 
 class TestPlumbing:
     def test_config_file_with_flag_override(self, capsys, tmp_path):

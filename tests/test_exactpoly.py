@@ -12,7 +12,9 @@ from loopalg.errors import (
 from loopalg.exactpoly import (
     AMBIENT,
     Poly,
+    VarRef,
     _mono_degree,
+    _mono_div,
     _mono_key,
     _mono_mul,
     const,
@@ -227,6 +229,141 @@ class TestDivExact:
 
     def test_constant_divisor(self):
         assert div_exact(xvar(1, 0), const(2)) == Fraction(1, 2) * xvar(1, 0)
+
+
+def _reference_terms(out):
+    return {mono: Fraction(c) for mono, c in out.items() if Fraction(c)}
+
+
+def _reference_add(p, q):
+    """The Fraction-only sum the integer fast path replaced."""
+    out = dict(p.terms)
+    for mono, coeff in q.terms.items():
+        out[mono] = out.get(mono, Fraction(0)) + coeff
+    return _reference_terms(out)
+
+
+def _reference_mul(p, q):
+    """The Fraction-only product the integer fast path replaced."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono = _mono_mul(m1, m2)
+            out[mono] = out.get(mono, Fraction(0)) + Fraction(c1) * c2
+    return _reference_terms(out)
+
+
+def _reference_div_exact(num, den):
+    """The Fraction-only long division the heap replaced: every step
+    rescans the whole remainder for its leading term."""
+    den_mono = min(den.terms, key=_mono_key)
+    den_coeff = Fraction(den.terms[den_mono])
+    quotient = {}
+    rem = {mono: Fraction(c) for mono, c in num.terms.items()}
+    while rem:
+        mono = min(rem, key=_mono_key)
+        q_mono = _mono_div(mono, den_mono)
+        if q_mono is None:
+            return None
+        q_coeff = rem[mono] / den_coeff
+        quotient[q_mono] = quotient.get(q_mono, Fraction(0)) + q_coeff
+        for m2, c2 in den.terms.items():
+            m = _mono_mul(q_mono, m2)
+            new = rem.get(m, Fraction(0)) - q_coeff * c2
+            if new:
+                rem[m] = new
+            else:
+                rem.pop(m, None)
+    return _reference_terms(quotient)
+
+
+def _assert_exact(poly):
+    """Every stored coefficient is a nonzero int, or a Fraction that is not
+    integral; never a float, a bool or an integral Fraction."""
+    for coeff in poly.terms.values():
+        assert type(coeff) in (int, Fraction), coeff
+        assert coeff != 0
+        assert type(coeff) is int or coeff.denominator != 1, coeff
+
+
+# Few variables and small exponents, so sums and products share monomials
+# and cancel often. Coefficients mix ints, integral Fractions and proper
+# Fractions, zero included (the constructor must drop it).
+_pool = [VarRef("x", 1, -1), VarRef("x", 1, 0), VarRef("x", 2, 0), VarRef("y", 0, 0)]
+_mixed_coeffs = strat.one_of(
+    strat.integers(min_value=-4, max_value=4),
+    strat.integers(min_value=-4, max_value=4).map(Fraction),
+    strat.fractions(min_value=-4, max_value=4, max_denominator=3),
+)
+_pool_monos = strat.dictionaries(
+    strat.sampled_from(_pool), strat.integers(min_value=1, max_value=2), max_size=2
+).map(lambda exps: tuple(sorted(exps.items())))
+_term_dicts = strat.dictionaries(_pool_monos, _mixed_coeffs, max_size=4)
+mixed_polys = _term_dicts.map(Poly)
+divisors = mixed_polys.filter(lambda q: len(q.terms) >= 2)
+
+
+class TestKernelMatchesReference:
+    @given(_term_dicts)
+    def test_constructor_normalises(self, terms):
+        p = Poly(terms)
+        _assert_exact(p)
+        assert p.terms == _reference_terms(terms)
+
+    @given(mixed_polys, mixed_polys, strat.data())
+    def test_add(self, p, q, data):
+        # Part of q cancels part of p exactly.
+        cancel = data.draw(strat.sets(strat.sampled_from(list(p.terms) or [()])))
+        q = q + Poly({m: -p.terms[m] for m in cancel if m in p.terms})
+        for total, expected in ((p + q, _reference_add(p, q)),
+                                (p - p, {}),
+                                (-p, _reference_terms({m: -c for m, c in p.terms.items()}))):
+            _assert_exact(total)
+            assert total.terms == expected
+
+    @given(mixed_polys, mixed_polys, _mixed_coeffs)
+    def test_mul(self, p, q, scalar):
+        _assert_exact(p * q)
+        assert (p * q).terms == _reference_mul(p, q)
+        _assert_exact(p * scalar)
+        assert (p * scalar).terms == _reference_mul(p, Poly.const(scalar))
+
+    @given(mixed_polys, divisors)
+    def test_div_exact_multiple(self, p, q):
+        quotient = div_exact(p * q, q)
+        _assert_exact(quotient)
+        assert quotient.terms == _reference_div_exact(p * q, q) == p.terms
+
+    @given(mixed_polys, mixed_polys.filter(bool), mixed_polys)
+    def test_div_exact_any(self, p, q, r):
+        # A monomial and a general divisor, an exact multiple or not.
+        num = p * q + r
+        quotient, expected = div_exact(num, q), _reference_div_exact(num, q)
+        if quotient is None:
+            assert expected is None
+        else:
+            _assert_exact(quotient)
+            assert quotient.terms == expected
+
+    @given(mixed_polys, divisors, _mixed_coeffs.filter(bool))
+    def test_div_exact_indivisible(self, p, q, c):
+        # A multi-term divisor only divides multiples of itself, and
+        # y_9 occurs nowhere else.
+        num = p * q + c * yvar(9)
+        assert div_exact(num, q) is None
+        assert _reference_div_exact(num, q) is None
+
+    def test_quotient_is_a_fraction(self):
+        half = div_exact(3 * xvar(1, 0), const(2))
+        (coeff,) = half.terms.values()
+        assert type(coeff) is Fraction and coeff == Fraction(3, 2)
+        assert str(half) == "3/2*x1_0"
+        third = div_exact(xvar(1, 0) + 2 * xvar(1, -1), const(3))
+        assert third.terms == {
+            ((VarRef("x", 1, 0), 1),): Fraction(1, 3),
+            ((VarRef("x", 1, -1), 1),): Fraction(2, 3),
+        }
+        _assert_exact(div_exact(6 * xvar(1, 0), const(3)))
 
 
 def test_ambient_flag():
