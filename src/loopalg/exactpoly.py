@@ -415,6 +415,11 @@ def _tokenize(text):
     return tokens
 
 
+# Parentheses are the parser's only recursion; this bound keeps deep nesting a
+# parse error instead of a RecursionError, even under a deep caller stack.
+_MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive-descent parser for the ambient-polynomial grammar:
 
@@ -428,6 +433,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.dim = dim
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -492,8 +498,14 @@ class _Parser:
                 f"unknown variable {text!r} (expected x1..x{self.dim})", pos
             )
         if kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise PolyParseError(
+                    f"parentheses nested more than {_MAX_NESTING} deep", pos
+                )
+            self.depth += 1
             poly = self.expr()
             self.expect(")")
+            self.depth -= 1
             return poly
         raise PolyParseError(f"unexpected {text!r}", pos)
 

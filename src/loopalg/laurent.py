@@ -25,7 +25,7 @@ raises PrecisionExhaustedError rather than returning an empty answer.
 from typing import NamedTuple, Optional
 
 from .errors import PrecisionExhaustedError
-from .exactpoly import power_by_squaring
+from .exactpoly import div_exact, power_by_squaring
 
 
 class AtLeastCap(NamedTuple):
@@ -82,10 +82,6 @@ class TruncSeries:
     @classmethod
     def constant(cls, value) -> "TruncSeries":
         return cls.exact({0: value})
-
-    @classmethod
-    def monomial(cls, value, exponent: int, cap=None) -> "TruncSeries":
-        return cls({exponent: value}, cap=cap)
 
     # -- window bookkeeping ----------------------------------------------------
 
@@ -287,11 +283,12 @@ class TruncSeries:
         return f"TruncSeries({self})"
 
 
-def divide_exact(num: TruncSeries, den: TruncSeries, coeff_div):
-    """Exact series quotient q with q*den == num, or None.
+def divide_exact(num: TruncSeries, den: TruncSeries):
+    """Exact quotient q with q*den == num of two `Poly`-coefficient series, or
+    None.
 
-    `coeff_div(value, lead)` must return the exact coefficient-ring quotient
-    or None; `lead` is den's lowest stored coefficient. The quotient is only
+    Each coefficient quotient is `exactpoly.div_exact` by den's lowest stored
+    coefficient, and None there means no quotient. The quotient is only
     produced when it can be solved without losing any of num's precision
     (den must be known far enough up); otherwise None is returned and the
     caller keeps the unreduced representation.
@@ -309,7 +306,7 @@ def divide_exact(num: TruncSeries, den: TruncSeries, coeff_div):
             return None
         out = {}
         for m, c in num.coeffs.items():
-            q = coeff_div(c, lead)
+            q = div_exact(c, lead)
             if q is None:
                 return None
             out[m - low] = q
@@ -329,7 +326,7 @@ def divide_exact(num: TruncSeries, den: TruncSeries, coeff_div):
                 acc = acc - qc * dc
         if not acc:
             continue
-        q = coeff_div(acc, lead)
+        q = div_exact(acc, lead)
         if q is None:
             return None
         quot[target - low] = q

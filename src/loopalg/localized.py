@@ -7,8 +7,9 @@ Two fraction-like types live here:
     hypersurface). These are the coefficients of inverted series.
   * ``LocalizedElem``: a series numerator over a power of the evaluated
     hypersurface series ``a`` itself. These are the elements of the
-    algebraic localisation; the denominator series is passed to each
-    operation rather than stored.
+    algebraic localisation; ``a`` is not stored. The Euler-operator action
+    (``projector.apply_nu_poly_localized``) builds each element over one
+    common power of ``a`` and reduces it once, with ``LocalizedElem.reduced``.
 
 A ``LocalizedCoef`` is reduced once, in its constructor, which cancels the
 base while it divides the numerator. The coefficient ring is an integral
@@ -56,10 +57,6 @@ class LocalizedCoef:
         self.num = num
         self.pow = power
         self.base = base
-
-    @classmethod
-    def from_poly(cls, poly: Poly, base: Poly) -> "LocalizedCoef":
-        return cls(poly, 0, base)
 
     def _coerce(self, other):
         if isinstance(other, LocalizedCoef):
@@ -133,7 +130,11 @@ class LocalizedCoef:
 
 
 class LocalizedElem:
-    """num / a^pow, for `a` the evaluated hypersurface series (not stored)."""
+    """num / a^pow, for `a` the evaluated hypersurface series (not stored).
+
+    Built either denominator-free or by `reduced`, which cancels `a` as far
+    as the numerator's window allows.
+    """
 
     __slots__ = ("num", "pow")
     __hash__ = None
@@ -150,7 +151,7 @@ class LocalizedElem:
     def reduced(cls, num: TruncSeries, power: int, a: TruncSeries) -> "LocalizedElem":
         """Construct with exact cancellation of `a` where the numerator allows."""
         while power > 0:
-            quotient = laurent.divide_exact(num, a, div_exact)
+            quotient = laurent.divide_exact(num, a)
             if quotient is None:
                 break
             num, power = quotient, power - 1
@@ -163,41 +164,6 @@ class LocalizedElem:
 
     def __repr__(self):
         return f"LocalizedElem({self})"
-
-
-def loc_add(u: LocalizedElem, v: LocalizedElem, a: TruncSeries) -> LocalizedElem:
-    p = max(u.pow, v.pow)
-    num = u.num * a ** (p - u.pow) + v.num * a ** (p - v.pow)
-    return LocalizedElem.reduced(num, p, a)
-
-
-def loc_mul(u: LocalizedElem, v: LocalizedElem, a: TruncSeries) -> LocalizedElem:
-    return LocalizedElem.reduced(u.num * v.num, u.pow + v.pow, a)
-
-
-def loc_scale(u: LocalizedElem, scalar) -> LocalizedElem:
-    return LocalizedElem(u.num.scale(scalar), u.pow)
-
-
-def loc_zshift(u: LocalizedElem, offset: int) -> LocalizedElem:
-    """Multiply by z^offset (denominator untouched)."""
-    return LocalizedElem(u.num.shift(offset), u.pow)
-
-
-def loc_derivative(u: LocalizedElem, a: TruncSeries) -> LocalizedElem:
-    """d/dz by the quotient rule; the denominator power grows by one unless
-    the element was already denominator-free."""
-    if u.pow == 0:
-        return LocalizedElem(u.num.derivative(), 0)
-    num = u.num.derivative() * a - u.num.scale(u.pow) * a.derivative()
-    return LocalizedElem.reduced(num, u.pow + 1, a)
-
-
-def loc_equal(u: LocalizedElem, v: LocalizedElem, a: TruncSeries) -> bool:
-    """Cross-multiplied equality on the joint known window."""
-    lhs = u.num * a ** v.pow
-    rhs = v.num * a ** u.pow
-    return lhs.agrees_with(rhs)
 
 
 def loc_seminorm(u: LocalizedElem, a: TruncSeries, params: SemiNormParams) -> SemiNormValue:
@@ -222,7 +188,7 @@ def loc_seminorm(u: LocalizedElem, a: TruncSeries, params: SemiNormParams) -> Se
 
 def lift_series(series: TruncSeries, base: Poly) -> TruncSeries:
     """View a polynomial-coefficient series inside the localized model."""
-    return series.map_coefficients(lambda c: LocalizedCoef.from_poly(c, base))
+    return series.map_coefficients(lambda c: LocalizedCoef(c, 0, base))
 
 
 def loc_to_model_with(u: LocalizedElem, a: TruncSeries) -> TruncSeries:

@@ -177,12 +177,12 @@ def substitute_y(generator: Poly, inverse: TruncSeries, base: Poly) -> Localized
     Unknown coefficients (beyond the inverse's cap) raise rather than
     silently substituting zero.
     """
-    total = LocalizedCoef.from_poly(Poly.zero(), base)
+    total = LocalizedCoef(Poly.zero(), 0, base)
     for mono, coeff in generator.terms.items():
         x_part = tuple(
             (ref, exp) for ref, exp in mono if ref.family == "x"
         )
-        factor = LocalizedCoef.from_poly(Poly({x_part: coeff}), base)
+        factor = LocalizedCoef(Poly({x_part: coeff}), 0, base)
         dead = False
         for ref, exp in mono:
             if ref.family != "y":

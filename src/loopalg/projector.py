@@ -9,21 +9,14 @@ experiments below measure that convergence distance exactly, both on the
 plain coordinate series and on inverted series in the localisation.
 """
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import PrecisionExhaustedError
 from .exactpoly import Poly
 from .laurent import AtLeastCap, TruncSeries
-from .localized import (
-    LocalizedElem,
-    loc_add,
-    loc_derivative,
-    loc_scale,
-    loc_to_model_with,
-    loc_zshift,
-    model_zero_test,
-)
+from .localized import LocalizedElem, loc_to_model_with, model_zero_test
 from .loopspace import compose, ev_series, invert_series
 from .seminorm import SemiNormValue, seminorm_order, value_from_order
 
@@ -106,15 +99,32 @@ def apply_nu_poly(p: NuPoly, series: TruncSeries) -> TruncSeries:
 def apply_nu_poly_localized(
     p: NuPoly, u: LocalizedElem, a: TruncSeries
 ) -> LocalizedElem:
-    """The same operator on a localized element, expanded through the
-    quotient rule: one application of nu is z * d/dz."""
-    acc = loc_scale(u, p.coeffs[0])
-    w = u
-    for k in range(1, len(p.coeffs)):
-        w = loc_zshift(loc_derivative(w, a), 1)
-        if p.coeffs[k]:
-            acc = loc_add(acc, loc_scale(w, p.coeffs[k]), a)
-    return acc
+    """The same operator on u = N/a^q inside the localisation.
+
+    Horner form p(nu)u = c_0 u + nu(c_1 u + nu(... + nu(c_D u))) over one
+    common denominator, with nu = z d/dz acting by the quotient rule
+
+        nu(M/a^r) = (a nu(M) - r M nu(a)) / a^(r+1).
+
+    After s steps the denominator is a^(q+s), so c_k u enters as c_k N a^s;
+    N a^s grows by one series product per step. The c_k are cleared to
+    integers by the lcm of their denominators, which is divided out once,
+    just before the one reduction. An element without denominator takes the
+    diagonal action, so an exact numerator stays exact.
+    """
+    if u.pow == 0:
+        return LocalizedElem(apply_nu_poly(p, u.num), 0)
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    *lower, top = [int(c * scale) for c in p.coeffs]
+    nu_a = a.derivative().shift(1)
+    num, power, lifted = u.num.scale(top), u.pow, u.num
+    for c in reversed(lower):
+        num = a * num.derivative().shift(1) - (num * nu_a).scale(power)
+        power += 1
+        lifted = lifted * a
+        if c:
+            num = num + lifted.scale(c)
+    return LocalizedElem.reduced(num.scale(Fraction(1, scale)), power, a)
 
 
 class ConvergenceRow(NamedTuple):

@@ -275,6 +275,12 @@ class TestPlumbing:
         code, _, err = run(capsys, "converge", "--mode", "sideways")
         assert code == 1
 
+    def test_deeply_nested_polynomial_is_input_error(self, capsys):
+        code, out, err = run(capsys, "invert", "--f", "(" * 250 + "x1" + ")" * 250,
+                             "--d", "1")
+        assert code == 1 and out == ""
+        assert err == "error: parentheses nested more than 100 deep (at position 100)\n"
+
     def test_determinism(self, capsys, tmp_path):
         cases = [
             ("relations", "--f", "x1*x2 + 1", "--d", "2", "--n", "1", "--cap", "3"),

@@ -138,6 +138,13 @@ class TestParse:
     def test_zero_literal(self):
         assert parse_poly("0", 1) == Poly.zero()
 
+    def test_nesting_depth_is_bounded(self):
+        assert parse_poly("(" * 100 + "x1" + ")" * 100, 1) == xvar(1)
+        for depth in (101, 1000):
+            with pytest.raises(PolyParseError) as info:
+                parse_poly("(" * depth + "x1" + ")" * depth, 1)
+            assert info.value.position == 100
+
     @given(ambient_polys())
     def test_print_parse_roundtrip(self, p):
         assert parse_poly(str(p), 2) == p

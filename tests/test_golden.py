@@ -70,6 +70,14 @@ GOLDEN = [
      0, "b4fc94c25b64611433d0e3c6dc906930dfd275b903763a6a4161dee84b52b38d"),
     (("check", "ultrametric", "--d", "1", "--samples", "5", "--seed", "3", "--levels", "0,1"),
      0, "f8760ebce1da0e58196c4f830d8a4dbd46b27113f5039ea4f5b4fd53af28ea41"),
+    # Recorded while the Euler-operator action on localized elements still
+    # reduced after every step: a wide band and a two-variable base.
+    (("approx", "--f", "x1^2+3*x1+1", "--d", "1", "--j", "3", "--band", "5", "--N", "1",
+      "--cap", "10"),
+     0, "a732b20df104f5f750996c4b9260bfdda9a3b263acc2a6317c3232299e71da76"),
+    (("approx", "--f", "2*x1+x2^2", "--d", "2", "--j", "2", "--band", "3", "--N", "2",
+      "--cap", "6"),
+     0, "db4815d9e27dfda57e5a0d87ce7ca916dccf60e882739add333ce9c177e5679b"),
 ]
 
 # The option strings each subcommand's --help listed before the settings table

@@ -7,7 +7,7 @@ import hypothesis.strategies as strat
 from loopalg.errors import PrecisionExhaustedError
 from loopalg.exactpoly import Poly, parse_poly, xvar
 from loopalg.laurent import TruncSeries
-from loopalg.localized import LocalizedElem, loc_equal, loc_to_model_with
+from loopalg.localized import LocalizedElem, loc_to_model_with
 from loopalg.loopspace import compose, ev_series
 from loopalg.projector import (
     NuPoly,
@@ -18,7 +18,7 @@ from loopalg.projector import (
     make_projector,
 )
 
-from .strategies import polys
+from .strategies import poly_series, polys
 
 EPS = Fraction(1, 2)
 
@@ -65,7 +65,7 @@ class TestMakeProjector:
 class TestApplyNuPoly:
     def test_eigenvector(self):
         nu = NuPoly([0, 1])
-        s = TruncSeries.monomial(Poly.const(1), 3)
+        s = TruncSeries.exact({3: Poly.const(1)})
         assert apply_nu_poly(nu, s).coeffs == {3: Poly.const(3)}
 
     def test_band_projector_on_coordinates(self):
@@ -107,7 +107,8 @@ class TestApplyNuPolyLocalized:
 
     def test_identity(self):
         out = apply_nu_poly_localized(NuPoly([1]), self.one_over_a, self.a)
-        assert loc_equal(out, self.one_over_a, self.a)
+        lhs = out.num * self.a ** self.one_over_a.pow
+        assert lhs.agrees_with(self.one_over_a.num * self.a ** out.pow)
 
     @given(strat.sampled_from([(0, 1), (1, 1), (0, 2), (2, 2)]))
     def test_commutes_with_model_map(self, slot_band):
@@ -116,6 +117,71 @@ class TestApplyNuPolyLocalized:
         lhs = loc_to_model_with(apply_nu_poly_localized(p, self.one_over_a, self.a), self.a)
         rhs = apply_nu_poly(p, loc_to_model_with(self.one_over_a, self.a))
         assert lhs.agrees_with(rhs)
+
+
+def _reference_apply_localized(p, u, a):
+    """p(nu)u stepwise: w runs through nu^k u by the quotient rule for d/dz,
+    reduced at each step, and each c_k w joins the sum over the larger power
+    of a, reduced again."""
+
+    def add(x, y):
+        power = max(x.pow, y.pow)
+        num = x.num * a ** (power - x.pow) + y.num * a ** (power - y.pow)
+        return LocalizedElem.reduced(num, power, a)
+
+    acc = LocalizedElem(u.num.scale(p.coeffs[0]), u.pow)
+    w = u
+    for c in p.coeffs[1:]:
+        if w.pow == 0:
+            w = LocalizedElem(w.num.derivative(), 0)
+        else:
+            num = w.num.derivative() * a - w.num.scale(w.pow) * a.derivative()
+            w = LocalizedElem.reduced(num, w.pow + 1, a)
+        w = LocalizedElem(w.num.shift(1), w.pow)
+        if c:
+            acc = add(acc, LocalizedElem(w.num.scale(c), w.pow))
+    return acc
+
+
+_NU_SERIES = {
+    text: compose(parse_poly(text, 2), ev_series(2, 1, 4))
+    for text in ("x1", "x1^2+x1", "x1*x2+1", "2*x1+x2^2")
+}
+_NU_SERIES["exact unit 3"] = TruncSeries.exact({0: Poly.const(3)})
+_NU_SERIES["exact 2*x1_-1*z^-1"] = TruncSeries.exact({-1: 2 * xvar(1, -1)})
+
+_nu_polys = strat.one_of(
+    strat.builds(make_projector, strat.integers(min_value=-2, max_value=3),
+                 strat.integers(min_value=0, max_value=3)),
+    strat.lists(strat.fractions(min_value=-5, max_value=5, max_denominator=4),
+                min_size=1, max_size=6).map(NuPoly),
+)
+
+
+class TestApplyNuPolyLocalizedMatchesStepwise:
+    @given(strat.sampled_from(sorted(_NU_SERIES)), _nu_polys)
+    def test_inverse_is_structurally_equal(self, name, p):
+        # u = 1/a built as approximate_coefficient builds it.
+        a = _NU_SERIES[name]
+        u = LocalizedElem.reduced(TruncSeries.constant(Poly.const(1)), 1, a)
+        out = apply_nu_poly_localized(p, u, a)
+        want = _reference_apply_localized(p, u, a)
+        assert out.num == want.num and out.pow == want.pow
+
+    @given(strat.sampled_from(sorted(_NU_SERIES)), _nu_polys,
+           poly_series(dim=2, level=1, min_floor=-2, max_width=4),
+           strat.integers(min_value=0, max_value=2), strat.booleans())
+    def test_general_element_is_equal(self, name, p, num, power, exact):
+        a = _NU_SERIES[name]
+        if exact:
+            num = TruncSeries.exact(num.coeffs)
+        u = LocalizedElem(num, power)
+        out = apply_nu_poly_localized(p, u, a)
+        want = _reference_apply_localized(p, u, a)
+        # Windows and powers may differ; the elements are equal as fractions.
+        assert (out.num * a ** want.pow).agrees_with(want.num * a ** out.pow)
+        if exact and power == 0:
+            assert out.num.is_exact()
 
 
 class TestConvergencePlain:
