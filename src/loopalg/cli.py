@@ -241,7 +241,7 @@ def cmd_relations(cfg, args) -> int:
     if args.complement:
         rels = loopspace.complement_relations(f, cfg["d"], cfg["n"], cfg["cap"])
     else:
-        rels = loopspace.relations([f], cfg["d"], cfg["n"], cfg["cap"])
+        rels = loopspace.relations(f, cfg["d"], cfg["n"], cfg["cap"])
     records = [{"exponent": r.exponent, "generator": str(r.generator)} for r in rels]
     _emit_table(cfg, records, ["exponent", "generator"], "json")
     return EXIT_OK
@@ -256,8 +256,9 @@ def cmd_ev(cfg, args) -> int:
 def cmd_invert(cfg, args) -> int:
     f = _require_f(cfg)
     d, n = cfg["d"], cfg["n"]
-    m_low, lead = loopspace.f_min(f, d, n)
     composite = loopspace.compose(f, loopspace.ev_series(d, n, cfg["cap"]))
+    m_low = min(composite.coeffs)
+    lead = composite.coeffs[m_low]
     inverse = loopspace.invert_series(composite, n)
     _emit(cfg, f"f_min: exponent {m_low}, lead {lead}\ninverse: {inverse}\n")
     return EXIT_OK

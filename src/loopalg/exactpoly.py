@@ -147,9 +147,6 @@ class Poly:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.terms == other.terms

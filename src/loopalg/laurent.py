@@ -190,31 +190,6 @@ class TruncSeries:
             {m: fn(c) for m, c in self.coeffs.items()}, self.cap, self.floor
         )
 
-    def tighten_floor(self) -> "TruncSeries":
-        """Raise the floor to the lowest stored exponent.
-
-        Everything in the window below the first stored coefficient is known
-        zero, so this loses nothing and improves product precision.
-        """
-        if not self.coeffs:
-            floor = self.cap if self.cap is not None else 0
-            return TruncSeries({}, self.cap, floor)
-        return TruncSeries(self.coeffs, self.cap, min(self.coeffs))
-
-    def slice_below(self, cap: int) -> "TruncSeries":
-        """Restrict knowledge to exponents < cap (a weaker view of the series).
-
-        A slice that already covers every stored coefficient of an exact
-        series is the series itself; nothing is forgotten.
-        """
-        if self.cap is not None and cap >= self.cap:
-            return self
-        if self.cap is None and (not self.coeffs or cap > max(self.coeffs)):
-            return self
-        return TruncSeries(
-            {m: c for m, c in self.coeffs.items() if m < cap}, cap, self.floor
-        )
-
     def __pow__(self, exponent: int):
         # [k*floor, cap + (k-1)*floor) is the window in any multiplication order.
         return power_by_squaring(self, exponent, TruncSeries.constant(1))

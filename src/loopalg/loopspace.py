@@ -11,11 +11,7 @@ series recursively, which is what the localized coefficient model runs on.
 
 from typing import NamedTuple
 
-from .errors import (
-    NonInvertibleLeadingTermError,
-    PrecisionExhaustedError,
-    ZeroPolynomialError,
-)
+from .errors import NonInvertibleLeadingTermError, PrecisionExhaustedError
 from .exactpoly import Poly, xvar, yvar
 from .laurent import TruncSeries
 from .localized import LocalizedCoef, LocalizedElem, loc_to_model_with
@@ -41,14 +37,6 @@ def ev_series(dim: int, level: int, cap: int):
     ]
 
 
-def _one_like(series_list):
-    # Ring unit for the coefficient ring of the supplied series (duck-typed).
-    for s in series_list:
-        for c in s.coeffs.values():
-            return c ** 0
-    return 1
-
-
 def compose(f: Poly, series_list) -> TruncSeries:
     """Substitute the given series for the ambient variables of f.
 
@@ -61,7 +49,6 @@ def compose(f: Poly, series_list) -> TruncSeries:
     for ref in f.variables():
         if not 1 <= ref.coord <= dim:
             raise ValueError(f"polynomial uses x{ref.coord} but only {dim} series given")
-    one = _one_like(series_list)
     # Cache the power ladder of each coordinate series as needed.
     ladders = {}
 
@@ -74,7 +61,7 @@ def compose(f: Poly, series_list) -> TruncSeries:
     total = TruncSeries.zero()
     for mono, coeff in f.terms.items():
         if not mono:
-            term = TruncSeries.exact({0: one * coeff})
+            term = TruncSeries.exact({0: Poly.const(coeff)})
         else:
             term = None
             for ref, exponent in mono:
@@ -86,11 +73,10 @@ def compose(f: Poly, series_list) -> TruncSeries:
 
 
 class Relation(NamedTuple):
-    """One ideal generator: the z^exponent coefficient of equation `source`."""
+    """One ideal generator: the z^exponent coefficient of an equation."""
 
     exponent: int
     generator: Poly
-    source: int
 
 
 def _window_exponents(series: TruncSeries):
@@ -99,24 +85,20 @@ def _window_exponents(series: TruncSeries):
     return range(series.floor, series.cap)
 
 
-def relations(fs, dim: int, level: int, cap: int):
-    """Defining relations of the truncated loop space of {f_l = 0, all l}.
+def relations(f: Poly, dim: int, level: int, cap: int):
+    """Defining relations of the truncated loop space of {f = 0}.
 
-    `cap` bounds the emitted window: for each f the evaluation series is
-    built at enough internal precision that every coefficient of
-    f(x(z)) below z^cap is exact, and one Relation per window exponent is
-    emitted (in increasing exponent order).
+    `cap` bounds the emitted window: the evaluation series is built at
+    enough internal precision that every coefficient of f(x(z)) below z^cap
+    is exact, and one Relation per window exponent is emitted (in
+    increasing exponent order).
     """
-    out = []
-    for source, f in enumerate(fs):
-        degree = f.total_degree()
-        internal_cap = cap + max(0, degree - 1) * level
-        composite = compose(f, ev_series(dim, level, internal_cap))
-        for exponent in _window_exponents(composite):
-            out.append(
-                Relation(exponent, composite.coeffs.get(exponent, Poly.zero()), source)
-            )
-    return out
+    internal_cap = cap + max(0, f.total_degree() - 1) * level
+    composite = compose(f, ev_series(dim, level, internal_cap))
+    return [
+        Relation(exponent, composite.coeffs.get(exponent, Poly.zero()))
+        for exponent in _window_exponents(composite)
+    ]
 
 
 def complement_relations(f: Poly, dim: int, level: int, cap: int):
@@ -134,24 +116,9 @@ def complement_relations(f: Poly, dim: int, level: int, cap: int):
     )
     product = y_series * fe - TruncSeries.constant(Poly.const(1))
     return [
-        Relation(exponent, product.coeffs.get(exponent, Poly.zero()), 0)
+        Relation(exponent, product.coeffs.get(exponent, Poly.zero()))
         for exponent in _window_exponents(product)
     ]
-
-
-def f_min(f: Poly, dim: int, level: int):
-    """Lowest z-exponent of f(x(z)) and its (always nonzero) coefficient.
-
-    Computed from a single-column evaluation window: only the j = -level
-    terms of the coordinate series can reach the lowest exponent.
-    """
-    if not f:
-        raise ZeroPolynomialError("f_min of the zero polynomial is undefined")
-    composite = compose(f, ev_series(dim, level, -level + 1))
-    if not composite.coeffs:
-        raise ZeroPolynomialError("evaluated series has no nonzero lowest term")
-    m_low = min(composite.coeffs)
-    return m_low, composite.coeffs[m_low]
 
 
 def invert_series(s: TruncSeries, level: int) -> TruncSeries:

@@ -1,14 +1,12 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as strat
 
-from loopalg.errors import (
-    NonInvertibleLeadingTermError,
-    PrecisionExhaustedError,
-    ZeroPolynomialError,
-)
+from loopalg.cli import main
+from loopalg.errors import NonInvertibleLeadingTermError, PrecisionExhaustedError
 from loopalg.exactpoly import Poly, const, parse_poly, xvar, yvar
 from loopalg.laurent import TruncSeries
 from loopalg.localized import LocalizedCoef
@@ -16,7 +14,6 @@ from loopalg.loopspace import (
     complement_relations,
     compose,
     ev_series,
-    f_min,
     invert_series,
     relations,
     substitute_y,
@@ -99,7 +96,7 @@ class TestCompose:
 
 class TestRelations:
     def test_line_through_origin(self):
-        rels = relations([parse_poly("x1", 1)], 1, 1, 2)
+        rels = relations(parse_poly("x1", 1), 1, 1, 2)
         assert [(r.exponent, r.generator) for r in rels] == [
             (-1, x(1, -1)),
             (0, x(1, 0)),
@@ -107,7 +104,7 @@ class TestRelations:
         ]
 
     def test_double_point(self):
-        rels = relations([parse_poly("x1^2", 1)], 1, 1, 1)
+        rels = relations(parse_poly("x1^2", 1), 1, 1, 1)
         assert [(r.exponent, r.generator) for r in rels] == [
             (-2, x(1, -1) ** 2),
             (-1, 2 * x(1, -1) * x(1, 0)),
@@ -115,7 +112,7 @@ class TestRelations:
         ]
 
     def test_hyperbola(self):
-        rels = relations([parse_poly("x1*x2 - 1", 2)], 2, 1, 1)
+        rels = relations(parse_poly("x1*x2 - 1", 2), 2, 1, 1)
         assert [(r.exponent, r.generator) for r in rels] == [
             (-2, x(1, -1) * x(2, -1)),
             (-1, x(1, -1) * x(2, 0) + x(1, 0) * x(2, -1)),
@@ -124,13 +121,9 @@ class TestRelations:
 
     def test_window_growth_appends(self):
         f = parse_poly("x1^2", 1)
-        small = relations([f], 1, 1, 2)
-        large = relations([f], 1, 1, 5)
+        small = relations(f, 1, 1, 2)
+        large = relations(f, 1, 1, 5)
         assert large[: len(small)] == small
-
-    def test_multiple_sources(self):
-        rels = relations([parse_poly("x1", 2), parse_poly("x2", 2)], 2, 0, 1)
-        assert [(r.source, r.generator) for r in rels] == [(0, x(1, 0)), (1, x(2, 0))]
 
 
 class TestComplementRelations:
@@ -156,30 +149,39 @@ class TestComplementRelations:
         assert rels[0].generator == x(1, -1) ** 2 * yvar(-1)
 
 
-class TestFMin:
-    def test_coordinate(self):
-        assert f_min(parse_poly("x1", 1), 1, 1) == (-1, x(1, -1))
+def _lowest_coefficient(f, level):
+    """The z^(-level * deg f) coefficient of f(x(z)), written down directly.
 
-    def test_square(self):
-        assert f_min(parse_poly("x1^2", 1), 1, 1) == (-2, x(1, -1) ** 2)
+    At level 0 every x_i becomes x{i}_0. Above it only the top-degree part of
+    f reaches the lowest exponent, with every x_i at x{i}_-level.
+    """
+    degree = f.total_degree()
+    lead = Poly.zero()
+    for mono, coeff in f.terms.items():
+        if level and sum(exp for _, exp in mono) < degree:
+            continue
+        term = const(coeff)
+        for ref, exp in mono:
+            term = term * x(ref.coord, -level) ** exp
+        lead = lead + term
+    return lead
 
-    def test_product_plus_one(self):
-        assert f_min(parse_poly("x1*x2 + 1", 2), 2, 1) == (-2, x(1, -1) * x(2, -1))
 
-    def test_level_zero_keeps_all_terms(self):
-        assert f_min(parse_poly("x1 - 1", 1), 1, 0) == (0, x(1, 0) - const(1))
+class TestInvertLowestTerm:
+    """The first line of `invert`: the lowest term of the series it inverts."""
 
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomialError):
-            f_min(Poly.zero(), 1, 1)
-
-    @given(
-        strat.sampled_from(["x1", "x1^2", "x1*x2 + 1", "x1*x2 - 1", "x1 + x2"]),
-        strat.integers(min_value=0, max_value=3),
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "text", ["x1", "x1^2", "x1*x2 + 1", "x1*x2 - 1", "x1 + x2", "x1 - 1", "3"]
     )
-    def test_lead_is_never_zero(self, text, level):
-        _, lead = f_min(parse_poly(text, 2), 2, level)
-        assert lead
+    def test_first_line(self, capsys, text, level):
+        f = parse_poly(text, 2)
+        argv = ["invert", "--f", text, "--d", "2", "--n", str(level), "--cap", "1"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        exponent, lead = re.fullmatch(r"f_min: exponent (-?\d+), lead (.*)", first).groups()
+        assert int(exponent) == -level * f.total_degree()
+        assert lead == str(_lowest_coefficient(f, level))
 
 
 class TestInvert:

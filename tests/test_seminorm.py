@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as strat
 
 from loopalg.errors import PrecisionExhaustedError
 from loopalg.exactpoly import xvar
 from loopalg.laurent import AtLeastCap, TruncSeries
 from loopalg import loopspace
+from loopalg.sampling import random_series
 from loopalg.seminorm import (
     CheckReport,
     SemiNormParams,
@@ -20,7 +22,7 @@ from loopalg.seminorm import (
     seminorm_order,
 )
 
-from .strategies import poly_series
+from .strategies import ambient_polys, poly_series
 
 EPS = Fraction(1, 2)
 
@@ -86,6 +88,100 @@ class TestCheckGood:
         s = loopspace.ev_series(1, 1, 3)[0]
         with pytest.raises(ValueError, match="at least one level"):
             check_good(s, [], 3)
+
+
+def _reference_check_good(series, levels, max_power):
+    """`check_good` as it was before it read the lowest surviving term: it
+    projected every coefficient, raised the floor to the lowest survivor and
+    powered bottom slices of doubling width until an order appeared."""
+
+    def tighten_floor(s):
+        if not s.coeffs:
+            return TruncSeries({}, s.cap, s.cap if s.cap is not None else 0)
+        return TruncSeries(s.coeffs, s.cap, min(s.coeffs))
+
+    def slice_below(s, cap):
+        if s.cap is not None and cap >= s.cap:
+            return s
+        if s.cap is None and (not s.coeffs or cap > max(s.coeffs)):
+            return s
+        return TruncSeries({m: c for m, c in s.coeffs.items() if m < cap}, cap, s.floor)
+
+    def power_order(projected, k):
+        if not projected.coeffs:
+            cap = None if projected.cap is None else projected.cap + (k - 1) * projected.floor
+            return AtLeastCap(cap)
+        width = 1
+        while True:
+            part = slice_below(projected, projected.floor + width)
+            order = (part ** k).z_order()
+            if not isinstance(order, AtLeastCap) or part.cap == projected.cap:
+                return order
+            width *= 2
+
+    def exponent(order):
+        return order.cap if isinstance(order, AtLeastCap) else order
+
+    records = []
+    for level in sorted(levels):
+        projected = tighten_floor(series.map_coefficients(lambda c: c.project(level)))
+        base = projected.z_order()
+        base_ok = not isinstance(base, AtLeastCap)
+        for k in range(1, max_power + 1):
+            lhs = base if k == 1 else power_order(projected, k)
+            records.append(
+                {
+                    "level": level,
+                    "power": k,
+                    "lhs_exponent": exponent(lhs),
+                    "rhs_exponent": k * base if base_ok else None,
+                    "pass": base_ok and not isinstance(lhs, AtLeastCap) and lhs == k * base,
+                    "upper_bound_involved": isinstance(lhs, AtLeastCap) or not base_ok,
+                }
+            )
+    return all(r["pass"] for r in records), tuple(records)
+
+
+def _check_good_inputs():
+    """Random, composite, exact, zero and dead-below-level-4 series."""
+    sampled = strat.builds(
+        lambda seed, floor, width: random_series(random.Random(seed), 2, 4, floor, floor + width),
+        strat.integers(min_value=0, max_value=2**32),
+        strat.integers(min_value=-4, max_value=1),
+        strat.integers(min_value=1, max_value=6),
+    )
+    composite = strat.builds(
+        lambda f, level, cap: loopspace.compose(f, loopspace.ev_series(2, level, cap)),
+        ambient_polys(dim=2, max_degree=3),
+        strat.integers(min_value=0, max_value=2),
+        strat.integers(min_value=1, max_value=3),
+    )
+    exact = poly_series(dim=2, level=4).map(lambda s: TruncSeries.exact(s.coeffs))
+    # Every coefficient a multiple of x1_-4: nothing survives below level 4.
+    dead = strat.builds(
+        lambda s, is_exact: TruncSeries(
+            {m: c * xvar(1, -4) for m, c in s.coeffs.items()},
+            None if is_exact else s.cap,
+            s.floor,
+        ),
+        poly_series(dim=2, level=4),
+        strat.booleans(),
+    )
+    return strat.one_of(sampled, composite, exact, dead, strat.just(TruncSeries.zero()))
+
+
+class TestCheckGoodMatchesReference:
+    @settings(max_examples=300)
+    @given(
+        _check_good_inputs(),
+        strat.lists(strat.integers(min_value=0, max_value=4), min_size=1, max_size=5),
+        strat.integers(min_value=1, max_value=4),
+    )
+    def test_same_verdict_and_records(self, series, levels, max_power):
+        report = check_good(series, levels, max_power)
+        assert (report.passed, report.records) == _reference_check_good(
+            series, levels, max_power
+        )
 
 
 class TestCheckIsometry:
