@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 input error, 2 precision exhausted, 3 I/O error,
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -150,26 +151,23 @@ def _settings(args) -> dict:
     return settings
 
 
+# Built on the first `main` call, not at import, and kept for the process.
+# The parser holds no command functions: `main` looks each one up by name
+# in this module at dispatch time, so a replaced cmd_* is the one called.
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="loopalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("relations", help="ideal generators of the truncated loops")
-    p.set_defaults(run=cmd_relations)
     p.add_argument("--complement", action="store_true",
                    help="relations of the hypersurface complement instead")
 
-    p = sub.add_parser("ev", help="print the coordinate evaluation series")
-    p.set_defaults(run=cmd_ev)
-
-    p = sub.add_parser("invert", help="lowest term of f(x(z)) and its inverse series")
-    p.set_defaults(run=cmd_invert)
-
-    p = sub.add_parser("norm", help="semi-norms of f(x(z)) at the chosen levels")
-    p.set_defaults(run=cmd_norm)
+    sub.add_parser("ev", help="print the coordinate evaluation series")
+    sub.add_parser("invert", help="lowest term of f(x(z)) and its inverse series")
+    sub.add_parser("norm", help="semi-norms of f(x(z)) at the chosen levels")
 
     p = sub.add_parser("converge", help="extractor convergence distance table")
-    p.set_defaults(run=cmd_converge)
     p.add_argument("--mode", choices=["plain", "complement"], default="plain")
     p.add_argument("--j", type=int, default=0, help="target z-power")
     p.add_argument("--n-max", type=int, default=5, help="largest band width")
@@ -177,14 +175,12 @@ def _build_parser():
     p.add_argument("--loop-level", type=int, help="truncation level of the target")
 
     p = sub.add_parser("approx", help="one localized approximant and its distance")
-    p.set_defaults(run=cmd_approx)
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--band", type=int, default=1, help="extractor band width")
     p.add_argument("--N", type=int, dest="norm_level", help="semi-norm level")
     p.add_argument("--loop-level", type=int)
 
     p = sub.add_parser("check", help="run a property suite")
-    p.set_defaults(run=cmd_check)
     p.add_argument("suite", choices=["good", "isometry", "ultrametric"])
     _add_flags(p, _CHECK_ONLY)
 
@@ -346,7 +342,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(_settings(args), args)
+        return globals()["cmd_" + args.command](_settings(args), args)
     except PrecisionExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION

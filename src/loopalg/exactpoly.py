@@ -24,7 +24,9 @@ are built by ``_trusted``, which takes a dict already in that form.
 
 Terms are ordered by graded lex (total degree, then exponents in VarRef
 order), largest first; the order is a single sort key, ``_mono_key``, used
-both for printing and for picking leading terms in ``div_exact``. Division
+both for printing and for picking leading terms in ``div_exact``. The key's
+part for each (VarRef, exponent) factor, and the factor's printed text, are
+made once per process and kept in a table keyed by the factor. Division
 by a multi-term divisor keeps its remainder in a heap ordered by that key,
 so each step finds its leading term without rescanning the remainder. All
 coefficient arithmetic is exact rational arithmetic; nothing here ever
@@ -33,6 +35,7 @@ rounds.
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import NamedTuple, Union
 
 from .errors import DimensionMismatchError, PolyParseError, UnknownVariableError
@@ -69,8 +72,31 @@ def _mono_mul(m1, m2):
     return tuple(sorted(merged.items()))
 
 
+class _FactorTable(dict):
+    """One value per (VarRef, exponent) factor, made by `make` on the first
+    lookup and kept for the rest of the process. A process sees few distinct
+    factors (variables times exponents), while every printed or ordered term
+    looks its factors up again."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, factor):
+        value = self[factor] = self.make(*factor)
+        return value
+
+
+# The text of a factor, and its part of the sort key: (ref, -exp).
+_FACTOR_TEXT = _FactorTable(
+    lambda ref, exp: ref.render() if exp == 1 else f"{ref.render()}^{exp}"
+)
+_FACTOR_KEY = _FactorTable(lambda ref, exp: (ref, -exp))
+_exponent = itemgetter(1)
+
+
 def _mono_degree(mono):
-    return sum(exp for _, exp in mono)
+    return sum(map(_exponent, mono))
 
 
 def _mono_key(mono):
@@ -84,7 +110,7 @@ def _mono_key(mono):
     monomials by a third shifts every exponent equally, so the order is
     compatible with multiplication; exact division depends on that.
     """
-    return (-_mono_degree(mono), tuple((ref, -exp) for ref, exp in mono))
+    return (-sum(map(_exponent, mono)), tuple(map(_FACTOR_KEY.__getitem__, mono)))
 
 
 def _mono_div(mono, den_mono):
@@ -97,10 +123,40 @@ def _mono_div(mono, den_mono):
     return tuple((ref, e) for ref, e in exp.items() if e)
 
 
-def _mono_render(mono):
-    return "*".join(
-        ref.render() if exp == 1 else f"{ref.render()}^{exp}" for ref, exp in mono
-    )
+def _mono_text(mono):
+    return "*".join(map(_FACTOR_TEXT.__getitem__, mono))
+
+
+def _digits(n: int) -> str:
+    """Decimal text of the int n. `str` refuses ints longer than the
+    interpreter's digit limit (sys.get_int_max_str_digits); those are split
+    at a power of ten into halves that it accepts."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _digits(-n)
+        half = n.bit_length() * 3 // 20  # about half the decimal digits
+        high, low = divmod(n, 10 ** half)
+        return _digits(high) + _digits(low).zfill(half)
+
+
+def _int_of_digits(text: str) -> int:
+    """The int a digit string spells; `int` refuses strings over the digit
+    limit, and those are split into halves that it accepts."""
+    try:
+        return int(text)
+    except ValueError:
+        half = len(text) // 2
+        low = text[half:]
+        return _int_of_digits(text[:half]) * 10 ** len(low) + _int_of_digits(low)
+
+
+def _coeff_text(coeff) -> str:
+    """Text of a coefficient, an int or a Fraction, as `str` writes it."""
+    if type(coeff) is int:
+        return _digits(coeff)
+    return f"{_digits(coeff.numerator)}/{_digits(coeff.denominator)}"
 
 
 def _exact(value):
@@ -247,20 +303,21 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        ordered = sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]))
-        for i, (mono, coeff) in enumerate(ordered):
-            sign = "-" if coeff < 0 else "+"
-            mag = -coeff if coeff < 0 else coeff
+        for mono in sorted(self.terms, key=_mono_key):
+            coeff = self.terms[mono]
+            if coeff < 0:
+                sign, coeff = " - ", -coeff
+            else:
+                sign = " + "
             if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = _mono_render(mono)
+                parts.append(sign + _coeff_text(coeff))
+            elif coeff == 1:
+                parts.append(sign + _mono_text(mono))
             else:
-                body = f"{mag}*{_mono_render(mono)}"
-            if i == 0:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
+                parts.append(f"{sign}{_coeff_text(coeff)}*{_mono_text(mono)}")
+        # The first term drops the spaces around its sign and a leading "+".
+        first = parts[0]
+        parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
         return "".join(parts)
 
     def __repr__(self):
@@ -485,7 +542,7 @@ class _Parser:
     def atom(self) -> Poly:
         kind, text, pos = self.advance()
         if kind == "int":
-            return Poly.const(int(text))
+            return Poly.const(_int_of_digits(text))
         if kind == "ident":
             if len(text) > 1 and text[0] == "x" and text[1:].isdigit():
                 coord = int(text[1:])

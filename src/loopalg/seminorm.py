@@ -184,12 +184,15 @@ def check_ultrametric(pairs, levels, epsilon: Fraction) -> CheckReport:
     records = []
     all_pass = True
     for sample, (s, t) in enumerate(pairs):
+        # Neither depends on the level; an empty product window raises here,
+        # before any record of the pair, as it would at the first level.
+        total, product = s + t, s * t
         for level in sorted(levels):
             params = SemiNormParams(epsilon, level)
             ns = seminorm(s, params)
             nt = seminorm(t, params)
-            n_sum = seminorm(s + t, params)
-            n_prod = seminorm(s * t, params)
+            n_sum = seminorm(total, params)
+            n_prod = seminorm(product, params)
             max_rhs = SemiNormValue(
                 max(ns.value, nt.value), ns.is_upper_bound or nt.is_upper_bound
             )

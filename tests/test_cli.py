@@ -1,5 +1,9 @@
 import json
+import sys
 
+import pytest
+
+from loopalg import cli
 from loopalg.cli import main
 
 
@@ -300,3 +304,63 @@ class TestPlumbing:
                 [*case, "--output", str(second)]
             )
             assert first.read_bytes() == second.read_bytes()
+
+
+class TestParserBuiltOnce:
+    """main builds its parser on the first call and reuses it."""
+
+    F = ("--f", "x1*x2 + 1", "--d", "2", "--n", "1", "--cap", "2")
+
+    def test_calls_do_not_leak_into_each_other(self, capsys):
+        cli._build_parser.cache_clear()
+        first = run(capsys, "relations", *self.F)
+        assert first[0] == 0
+        complement = run(capsys, "relations", "--complement", *self.F, "--format", "csv")
+        assert complement[0] == 0 and complement != first
+        assert run(capsys, "relations", *self.F) == first
+        assert cli._build_parser.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("command", [None, "relations", "ev", "invert", "norm",
+                                         "converge", "approx", "check"])
+    def test_help_is_that_of_a_fresh_parser(self, capsys, monkeypatch, command):
+        argv = ["--help"] if command is None else [command, "--help"]
+        # The cached parser is built at one terminal width; help is
+        # formatted at the width of the call.
+        cli._build_parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", "120")
+        run(capsys, "ev", "--d", "1", "--cap", "1")
+        for columns in ("60", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit):
+                cli._build_parser.__wrapped__().parse_args(argv)
+            expected = capsys.readouterr().out
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+            assert capsys.readouterr().out == expected
+
+    def test_dispatch_sees_a_replaced_command(self, capsys, monkeypatch):
+        run(capsys, "ev", "--d", "1", "--cap", "1")
+        seen = []
+        monkeypatch.setattr(cli, "cmd_ev", lambda cfg, args: seen.append(cfg["cap"]) or 7)
+        assert main(["ev", "--cap", "3"]) == 7
+        assert seen == [3]
+
+
+class TestLongCoefficients:
+    def test_coefficient_past_the_digit_limit(self, capsys):
+        # The digit limit is lifted only to write the expected text; main
+        # runs under the interpreter's own limit.
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        limit = get_limit() if get_limit else 0
+        try:
+            if limit:
+                sys.set_int_max_str_digits(0)
+            expected = str(99999 ** 1000)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        code, out, err = run(capsys, "relations", "--f", "99999^1000*x1", "--d", "1",
+                             "--n", "0", "--cap", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [{"exponent": 0, "generator": expected + "*x1_0"}]

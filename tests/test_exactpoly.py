@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,98 @@ class TestPrinting:
         assert str(r) == (
             "-x1_-1^2 + x1_-1*x2_1 + x1_-1*y_0 + x1_0^2 + x1_0*x2_1 + x1*x2 + x2_1^2"
         )
+
+
+def _reference_key(mono):
+    """The term-order key before the per-factor table: built per monomial."""
+    return (-sum(exp for _, exp in mono), tuple((ref, -exp) for ref, exp in mono))
+
+
+def _reference_render(mono):
+    return "*".join(
+        ref.render() if exp == 1 else f"{ref.render()}^{exp}" for ref, exp in mono
+    )
+
+
+def _reference_str(poly):
+    """The printer before the per-factor text table, kept as the reference."""
+    if not poly.terms:
+        return "0"
+    parts = []
+    ordered = sorted(poly.terms.items(), key=lambda kv: _reference_key(kv[0]))
+    for i, (mono, coeff) in enumerate(ordered):
+        sign = "-" if coeff < 0 else "+"
+        mag = -coeff if coeff < 0 else coeff
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = _reference_render(mono)
+        else:
+            body = f"{mag}*{_reference_render(mono)}"
+        if i == 0:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f" {sign} {body}")
+    return "".join(parts)
+
+
+# Indexed x (negative indices included), ambient x and y, exponents up to 4;
+# coefficients include +-1, ints and Fractions, and the constant monomial
+# (an empty factor set) occurs.
+_print_refs = strat.one_of(
+    strat.builds(VarRef, strat.just("x"), strat.integers(1, 3),
+                 strat.one_of(strat.integers(-3, 3), strat.just(AMBIENT))),
+    strat.builds(VarRef, strat.just("y"), strat.just(0), strat.integers(-3, 3)),
+)
+_print_monos = strat.dictionaries(_print_refs, strat.integers(1, 4), max_size=3).map(
+    lambda exps: tuple(sorted(exps.items()))
+)
+_print_coeffs = strat.one_of(
+    strat.sampled_from([1, -1]),
+    strat.integers(-1000, 1000),
+    strat.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+_print_polys = strat.dictionaries(_print_monos, _print_coeffs, max_size=8).map(Poly)
+
+
+class TestPrintingMatchesReference:
+    @given(_print_polys)
+    def test_str(self, p):
+        assert str(p) == _reference_str(p)
+
+    @given(_print_monos)
+    def test_key(self, mono):
+        assert _mono_key(mono) == _reference_key(mono)
+
+    def test_coefficients_past_the_digit_limit(self):
+        # str() refuses ints over the interpreter's digit limit; the printer
+        # must not. The limit is lifted only to write the expected text.
+        big = 99999 ** 1000
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        limit = get_limit() if get_limit else 0
+        try:
+            if limit:
+                sys.set_int_max_str_digits(0)
+            expected = [str(big), str(big * 7 + 2)]
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        x = xvar(1, 0)
+        assert str(big * x - 3) == f"{expected[0]}*x1_0 - 3"
+        assert str(-big * x) == f"-{expected[0]}*x1_0"
+        # Both Fractions are in lowest terms: big is odd, big * 7 + 2 is odd
+        # and prime to big.
+        assert str(Fraction(2, big) * x + Fraction(big * 7 + 2, 2)) == (
+            f"2/{expected[0]}*x1_0 + {expected[1]}/2"
+        )
+        assert str(Fraction(-big, big * 7 + 2) * x) == (
+            f"-{expected[0]}/{expected[1]}*x1_0"
+        )
+        # Split at a power of ten, a lower half with leading zeros keeps them.
+        text = "1" + "0" * 8999 + "7"
+        assert str(const(10 ** 9000 + 7)) == text
+        # The parser reads such a literal back.
+        assert parse_poly(f"{text}*x1 - {text}", 1) == (10 ** 9000 + 7) * (xvar(1) - 1)
 
 
 def _reference_mono_cmp(m1, m2):
