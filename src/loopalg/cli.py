@@ -171,13 +171,13 @@ def _build_parser():
     p.add_argument("--mode", choices=["plain", "complement"], default="plain")
     p.add_argument("--j", type=int, default=0, help="target z-power")
     p.add_argument("--n-max", type=int, default=5, help="largest band width")
-    p.add_argument("--N", type=int, dest="norm_level", help="semi-norm level")
+    p.add_argument("--N", dest="level", metavar="NORM_LEVEL", help="semi-norm level")
     p.add_argument("--loop-level", type=int, help="truncation level of the target")
 
     p = sub.add_parser("approx", help="one localized approximant and its distance")
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--band", type=int, default=1, help="extractor band width")
-    p.add_argument("--N", type=int, dest="norm_level", help="semi-norm level")
+    p.add_argument("--N", dest="level", metavar="NORM_LEVEL", help="semi-norm level")
     p.add_argument("--loop-level", type=int)
 
     p = sub.add_parser("check", help="run a property suite")
@@ -274,10 +274,9 @@ def cmd_norm(cfg, args) -> int:
 
 
 def cmd_converge(cfg, args) -> int:
-    norm_level = cfg["level"] if args.norm_level is None else args.norm_level
     f = _require_f(cfg) if args.mode == "complement" else None
     rows = projector.convergence_experiment(
-        cfg["d"], f, args.j, range(1, args.n_max + 1), norm_level, cfg["epsilon"],
+        cfg["d"], f, args.j, range(1, args.n_max + 1), cfg["level"], cfg["epsilon"],
         cfg["cap"], args.loop_level,
     )
     records = [
@@ -296,9 +295,8 @@ def cmd_converge(cfg, args) -> int:
 
 def cmd_approx(cfg, args) -> int:
     f = _require_f(cfg)
-    norm_level = cfg["level"] if args.norm_level is None else args.norm_level
     result = projector.approximate_coefficient(
-        f, cfg["d"], args.j, args.band, norm_level, cfg["epsilon"], cfg["cap"],
+        f, cfg["d"], args.j, args.band, cfg["level"], cfg["epsilon"], cfg["cap"],
         args.loop_level,
     )
     payload = {

@@ -33,6 +33,7 @@ coefficient arithmetic is exact rational arithmetic; nothing here ever
 rounds.
 """
 
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
@@ -435,36 +436,25 @@ def div_exact(num: Poly, den: Poly):
 
 # -- parsing ------------------------------------------------------------------
 
-_OPS = set("+-*^()")
+# One token per match: an ASCII integer, an ASCII identifier, an operator, or
+# any other visible character, which is an error. Unicode digits and letters
+# ("²", "٣", "é") fall in the last group, so nothing but ASCII is read.
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()])|(\S))")
 
 
 def _tokenize(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", i)
+    for match in _TOKEN.finditer(text):
+        number, ident, op, other = match.groups()
+        pos = match.start(match.lastindex)
+        if other is not None:
+            raise PolyParseError(f"unexpected character {other!r}", pos)
+        if number is not None:
+            tokens.append(("int", number, pos))
+        elif ident is not None:
+            tokens.append(("ident", ident, pos))
+        else:
+            tokens.append((op, op, pos))
     tokens.append(("end", "", len(text)))
     return tokens
 

@@ -92,6 +92,12 @@ class TruncSeries:
         """No known nonzero coefficient (the window itself may be truncated)."""
         return not self.coeffs
 
+    def _below(self, cap):
+        """The stored coefficients at exponents below `cap` (None: all)."""
+        if cap is None:
+            return dict(self.coeffs)
+        return {m: c for m, c in self.coeffs.items() if m < cap}
+
     def items(self):
         """Stored (exponent, coefficient) pairs in increasing exponent order."""
         return sorted(self.coeffs.items())
@@ -115,14 +121,11 @@ class TruncSeries:
         if self.is_exact() and self.is_zero_window():
             return other
         cap = _min_cap(self.cap, other.cap)
-        floor = min(self.floor, other.floor)
-        out = {m: c for m, c in self.coeffs.items() if cap is None or m < cap}
-        for m, c in other.coeffs.items():
-            if cap is not None and m >= cap:
-                continue
+        out = self._below(cap)
+        for m, c in other._below(cap).items():
             prev = out.get(m)
             out[m] = c if prev is None else prev + c
-        return TruncSeries(out, cap, floor)
+        return TruncSeries(out, cap, min(self.floor, other.floor))
 
     def __neg__(self):
         return TruncSeries({m: -c for m, c in self.coeffs.items()}, self.cap, self.floor)
@@ -207,22 +210,10 @@ class TruncSeries:
 
     def agrees_with(self, other: "TruncSeries") -> bool:
         """Coefficientwise equality below the joint cap (floors are knowledge:
-        absent coefficients count as zero)."""
+        absent coefficients count as zero). No zero coefficient is ever
+        stored, so this is equality of the stored coefficients below it."""
         cap = _min_cap(self.cap, other.cap)
-        for m in set(self.coeffs) | set(other.coeffs):
-            if cap is not None and m >= cap:
-                continue
-            a = self.coeffs.get(m)
-            b = other.coeffs.get(m)
-            if a is None:
-                if b:
-                    return False
-            elif b is None:
-                if a:
-                    return False
-            elif a != b:
-                return False
-        return True
+        return self._below(cap) == other._below(cap)
 
     # -- order --------------------------------------------------------------------
 

@@ -36,6 +36,17 @@ from .laurent import AtLeastCap, TruncSeries
 from .seminorm import SemiNormParams, SemiNormValue, seminorm_order, value_from_order
 
 
+def _cancel(num, power, base, divide):
+    """num/base^power with base cancelled while `divide(num, base)` is exact;
+    `divide` returns the quotient or None."""
+    while power > 0:
+        quotient = divide(num, base)
+        if quotient is None:
+            break
+        num, power = quotient, power - 1
+    return num, power
+
+
 class LocalizedCoef:
     """num / base^pow, reduced: base does not divide num unless pow is 0."""
 
@@ -47,11 +58,7 @@ class LocalizedCoef:
             raise ZeroDivisionError("localisation base must be nonzero")
         if power < 0:
             raise ValueError("denominator power must be >= 0")
-        while power > 0:
-            quotient = div_exact(num, base)
-            if quotient is None:
-                break
-            num, power = quotient, power - 1
+        num, power = _cancel(num, power, base, div_exact)
         if not num:
             power = 0
         self.num = num
@@ -150,12 +157,7 @@ class LocalizedElem:
     @classmethod
     def reduced(cls, num: TruncSeries, power: int, a: TruncSeries) -> "LocalizedElem":
         """Construct with exact cancellation of `a` where the numerator allows."""
-        while power > 0:
-            quotient = laurent.divide_exact(num, a)
-            if quotient is None:
-                break
-            num, power = quotient, power - 1
-        return cls(num, power)
+        return cls(*_cancel(num, power, a, laurent.divide_exact))
 
     def __str__(self):
         if self.pow == 0:

@@ -49,14 +49,22 @@ def compose(f: Poly, series_list) -> TruncSeries:
     for ref in f.variables():
         if not 1 <= ref.coord <= dim:
             raise ValueError(f"polynomial uses x{ref.coord} but only {dim} series given")
-    # Cache the power ladder of each coordinate series as needed.
-    ladders = {}
+    # Powers of each coordinate series, shared by every monomial: x^k is
+    # x^(k-1)*x for odd k and (x^(k/2))^2 for even k, so an exponent costs
+    # at most twice its bit length in products, each power made once.
+    tables = {}
 
     def power(coord, exponent):
-        ladder = ladders.setdefault(coord, [None, series_list[coord - 1]])
-        while len(ladder) <= exponent:
-            ladder.append(ladder[-1] * series_list[coord - 1])
-        return ladder[exponent]
+        x = series_list[coord - 1]
+        table = tables.setdefault(coord, {1: x})
+        missing = []
+        k = exponent
+        while k not in table:
+            missing.append(k)
+            k = k - 1 if k % 2 else k // 2
+        for k in reversed(missing):
+            table[k] = table[k - 1] * x if k % 2 else table[k // 2] * table[k // 2]
+        return table[exponent]
 
     total = TruncSeries.zero()
     for mono, coeff in f.terms.items():
@@ -79,10 +87,14 @@ class Relation(NamedTuple):
     generator: Poly
 
 
-def _window_exponents(series: TruncSeries):
+def _relations_of(series: TruncSeries):
+    """One Relation per exponent of the series' window, in increasing order;
+    an exact series gives its stored exponents."""
     if series.cap is None:
-        return sorted(series.coeffs)
-    return range(series.floor, series.cap)
+        exponents = sorted(series.coeffs)
+    else:
+        exponents = range(series.floor, series.cap)
+    return [Relation(e, series.coeffs.get(e, Poly.zero())) for e in exponents]
 
 
 def relations(f: Poly, dim: int, level: int, cap: int):
@@ -94,11 +106,7 @@ def relations(f: Poly, dim: int, level: int, cap: int):
     increasing exponent order).
     """
     internal_cap = cap + max(0, f.total_degree() - 1) * level
-    composite = compose(f, ev_series(dim, level, internal_cap))
-    return [
-        Relation(exponent, composite.coeffs.get(exponent, Poly.zero()))
-        for exponent in _window_exponents(composite)
-    ]
+    return _relations_of(compose(f, ev_series(dim, level, internal_cap)))
 
 
 def complement_relations(f: Poly, dim: int, level: int, cap: int):
@@ -114,11 +122,7 @@ def complement_relations(f: Poly, dim: int, level: int, cap: int):
     y_series = TruncSeries(
         {j: yvar(j) for j in range(-level, cap + boost)}, cap + boost, floor=-level
     )
-    product = y_series * fe - TruncSeries.constant(Poly.const(1))
-    return [
-        Relation(exponent, product.coeffs.get(exponent, Poly.zero()))
-        for exponent in _window_exponents(product)
-    ]
+    return _relations_of(y_series * fe - TruncSeries.constant(Poly.const(1)))
 
 
 def invert_series(s: TruncSeries, level: int) -> TruncSeries:

@@ -18,7 +18,7 @@ from .exactpoly import Poly
 from .laurent import AtLeastCap, TruncSeries
 from .localized import LocalizedElem, loc_to_model_with, model_zero_test
 from .loopspace import compose, ev_series, invert_series
-from .seminorm import SemiNormValue, seminorm_order, value_from_order
+from .seminorm import SemiNormValue, projection_zero_test, value_from_order
 
 
 class NuPoly:
@@ -188,22 +188,18 @@ def convergence_experiment(
             "difference terms would fall beyond the cap",
             required_cap=max(n_values) + 2,
         )
-    rows = []
     if f is None:
         if loop_level is None:
             loop_level = max(norm_level, abs(j))
         target = ev_series(dim, loop_level, cap)[0]
-        ref_series = _reference_term(target, j, "target")
-        for n in n_values:
-            diff = apply_nu_poly(make_projector(j, n), target) - ref_series
-            rows.append(_row(n, seminorm_order(diff, norm_level), epsilon))
-        return rows
-
-    a, inverse = _complement_setup(f, dim, j, norm_level, cap, loop_level)
-    is_zero = model_zero_test(norm_level, a.coeffs[min(a.coeffs)])
-    ref_series = _reference_term(inverse, j, "inverse")
+        is_zero, name = projection_zero_test(norm_level), "target"
+    else:
+        a, target = _complement_setup(f, dim, j, norm_level, cap, loop_level)
+        is_zero, name = model_zero_test(norm_level, a.coeffs[min(a.coeffs)]), "inverse"
+    ref_series = _reference_term(target, j, name)
+    rows = []
     for n in n_values:
-        diff = apply_nu_poly(make_projector(j, n), inverse) - ref_series
+        diff = apply_nu_poly(make_projector(j, n), target) - ref_series
         rows.append(_row(n, diff.z_order(is_zero), epsilon))
     return rows
 

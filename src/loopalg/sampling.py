@@ -40,9 +40,11 @@ def random_series(rng, dim: int, level: int, floor: int, cap: int,
                   include_y: bool = False) -> TruncSeries:
     """A truncated series with random polynomial coefficients (some zero).
 
-    Raises ValueError when cap <= floor: a sample with no coefficient
-    window would only ever give upper bounds.
+    Raises ValueError when dim < 1, or when cap <= floor: a sample with no
+    coefficient window would only ever give upper bounds.
     """
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
     if cap <= floor:
         raise ValueError(f"cap {cap} leaves an empty window at level {-floor}")
     coeffs = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -36,6 +37,17 @@ class TestRelations:
     def test_unknown_variable_is_input_error(self, capsys):
         code, _, err = run(capsys, "relations", "--f", "x3", "--d", "2")
         assert code == 1 and "unknown variable" in err
+
+    @pytest.mark.parametrize("text, position, char", [
+        ("²", 0, "²"),
+        ("x1^²", 3, "²"),
+        ("x1+٣", 3, "٣"),
+    ])
+    def test_non_ascii_digit_is_input_error(self, capsys, text, position, char):
+        assert run(capsys, "relations", "--f", text, "--d", "1", "--n", "0",
+                   "--cap", "1") == (
+            1, "", f"error: unexpected character {char!r} (at position {position})\n"
+        )
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "relations", "--f", "x1", "--d", "1", "--n", "0",
@@ -107,6 +119,61 @@ class TestConverge:
         assert code == 2 and "cap of at least 11" in err
 
 
+class TestNormLevel:
+    """--N is the other spelling of --level in converge and approx: one
+    setting, read by the settings table like any other flag."""
+
+    # Commands whose output differs between the two levels given.
+    CASES = [
+        (("converge", "--j", "1", "--n-max", "3", "--d", "1", "--cap", "6"), "1", "2"),
+        (("approx", "--f", "x1^2+x1", "--j", "2", "--band", "2", "--cap", "8"), "0", "1"),
+    ]
+
+    @pytest.mark.parametrize("argv, low, high", CASES)
+    def test_later_flag_wins(self, capsys, argv, low, high):
+        at_low = run(capsys, *argv, "--level", low)
+        at_high = run(capsys, *argv, "--level", high)
+        assert at_low[0] == at_high[0] == 0 and at_low != at_high
+        assert run(capsys, *argv, "--N", low) == at_low
+        assert run(capsys, *argv, "--N", high, "--level", low) == at_low
+        assert run(capsys, *argv, "--level", high, "--N", low) == at_low
+        assert run(capsys, *argv, "--N", low, "--level", high) == at_high
+        assert run(capsys, *argv, "--level", low, "--N", high) == at_high
+
+    @pytest.mark.parametrize("argv, low, high", CASES)
+    def test_config_level_applies_without_either_flag(self, capsys, tmp_path, argv,
+                                                      low, high):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"level": int(high)}))
+        at_high = run(capsys, *argv, "--N", high)
+        assert run(capsys, *argv, "--config", str(config)) == at_high
+        assert run(capsys, *argv, "--config", str(config), "--N", low) == run(
+            capsys, *argv, "--level", low
+        )
+
+    @pytest.mark.parametrize("command", ["converge", "approx"])
+    def test_bad_value_is_input_error(self, capsys, command):
+        assert run(capsys, command, "--f", "x1", "--N", "x") == (
+            1, "", 'error: level must be an integer, got "x"\n'
+        )
+
+    # SHA-256 of `--help` at COLUMNS=80, recorded while --N was a setting of
+    # its own: merging it into --level changed no byte.
+    HELP = {
+        "converge": "0cc557bc1ef995080a8ec9b941101b18a86971c7dc45718df5408ce93cd18e35",
+        "approx": "9ac6a6e30bbb80180a3be4a170926066114343f9d0b05920950c54114c853c8b",
+    }
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_is_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == self.HELP[command]
+
+
 class TestApprox:
     def test_payload(self, capsys):
         code, out, _ = run(capsys, "approx", "--f", "x1", "--d", "1", "--j", "1",
@@ -168,6 +235,12 @@ class TestCheck:
                        "--levels", "") == expected
             assert run(capsys, "check", suite, "--f", "x1", "--d", "1",
                        "--config", str(config)) == expected
+
+    @pytest.mark.parametrize("suite", ["isometry", "ultrametric"])
+    def test_dimension_zero_is_input_error(self, capsys, suite):
+        assert run(capsys, "check", suite, "--d", "0") == (
+            1, "", "error: dimension must be >= 1\n"
+        )
 
     def test_norm_without_levels_is_empty(self, capsys, tmp_path):
         config = tmp_path / "run.json"

@@ -146,6 +146,20 @@ class TestParse:
                 parse_poly("(" * depth + "x1" + ")" * depth, 1)
             assert info.value.position == 100
 
+    @pytest.mark.parametrize("text, position, char", [
+        ("²", 0, "²"),  # str.isdigit holds, int refuses it
+        ("x1^²", 3, "²"),
+        ("x1+٣", 3, "٣"),  # int reads it as 3
+        ("x١", 1, "١"),  # an identifier x plus an Arabic-Indic digit one
+        ("é", 0, "é"),
+    ])
+    def test_only_ascii_is_read(self, text, position, char):
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(text, 1)
+        assert type(info.value) is PolyParseError
+        assert info.value.position == position
+        assert str(info.value) == f"unexpected character {char!r} (at position {position})"
+
     @given(ambient_polys())
     def test_print_parse_roundtrip(self, p):
         assert parse_poly(str(p), 2) == p

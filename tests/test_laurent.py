@@ -161,6 +161,57 @@ class TestDerivative:
         assert lhs.agrees_with(rhs)
 
 
+def reference_agrees_with(s, t):
+    """The coefficientwise loop agrees_with ran before it compared the two
+    filtered dicts: a coefficient missing on one side must be falsy on the
+    other, one present on both must be equal."""
+    cap = min((c for c in (s.cap, t.cap) if c is not None), default=None)
+    for m in set(s.coeffs) | set(t.coeffs):
+        if cap is not None and m >= cap:
+            continue
+        a = s.coeffs.get(m)
+        b = t.coeffs.get(m)
+        if a is None:
+            if b:
+                return False
+        elif b is None:
+            if a:
+                return False
+        elif a != b:
+            return False
+    return True
+
+
+class TestAgreesWith:
+    _L = xvar(1, -1) + xvar(2, 0)
+
+    @given(
+        poly_series(dim=2), poly_series(dim=2), strat.integers(min_value=-4, max_value=6),
+        strat.booleans(), strat.booleans(), strat.sampled_from([None, 0, 1, 2]),
+    )
+    def test_matches_reference(self, s, noise, cut, s_exact, t_exact, power):
+        # t is s below `cut` and `noise` from `cut` on, with its own cap, so
+        # the two agree on part of the window and either side may be exact.
+        t_coeffs = {m: c for m, c in s.coeffs.items() if m < cut}
+        t_coeffs.update((m, c) for m, c in noise.coeffs.items() if m >= cut)
+        t = TruncSeries(t_coeffs, None if t_exact else max(cut, noise.cap))
+        if s_exact:
+            s = TruncSeries.exact(s.coeffs)
+        if power is not None:
+            # Localized coefficients over a two-term base.
+            s, t = (u.map_coefficients(lambda c: LocalizedCoef(c, power, self._L))
+                    for u in (s, t))
+        assert s.agrees_with(t) == reference_agrees_with(s, t)
+        assert t.agrees_with(s) == reference_agrees_with(t, s)
+        assert s.agrees_with(s)
+
+    def test_agrees_below_the_joint_cap_only(self):
+        s = frac_series({0: 1, 2: 5}, cap=3)
+        assert s.agrees_with(frac_series({0: 1}, cap=2))
+        assert not s.agrees_with(frac_series({0: 1}, cap=4))
+        assert not s.agrees_with(frac_series({0: 1, 1: 1}, cap=2))
+
+
 class TestPrecisionSoundness:
     @given(
         strat.lists(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as strat
 
+from loopalg import laurent, localized
 from loopalg.errors import GoodElementViolationError
 from loopalg.exactpoly import Poly, const, div_exact, parse_poly, xvar
 from loopalg.laurent import TruncSeries
@@ -84,6 +85,43 @@ class TestLocalizedCoef:
     def test_zero_power_normalizes(self):
         base = xvar(1, -1)
         assert LocalizedCoef(Poly.zero(), 5, base).pow == 0
+
+
+class TestCancellationLooksUpItsDivision:
+    """Both reductions divide through the module attribute as it is at call
+    time (localized.div_exact, laurent.divide_exact), which is what a
+    wrapper installed on the module sees."""
+
+    def _spy(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def spy(num, den):
+            calls.append(den)
+            return original(num, den)
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_coef_calls_localized_div_exact(self, monkeypatch):
+        calls = self._spy(monkeypatch, localized, "div_exact")
+        base = xvar(1, -1)
+        c = LocalizedCoef(xvar(1, 0) * base ** 2, 3, base)
+        assert c.pow == 1 and c.num == xvar(1, 0)
+        assert calls == [base] * 3
+        monkeypatch.setattr(localized, "div_exact", lambda num, den: None)
+        c = LocalizedCoef(base, 1, base)
+        assert (c.num, c.pow) == (base, 1)
+
+    def test_elem_calls_laurent_divide_exact(self, monkeypatch, setting):
+        _, a, _, _ = setting
+        calls = self._spy(monkeypatch, laurent, "divide_exact")
+        two = poly_const_series(2)
+        out = LocalizedElem.reduced(two * a * a, 3, a)
+        assert out.pow == 1 and out.num.agrees_with(two)
+        assert len(calls) == 3 and all(den is a for den in calls)
+        monkeypatch.setattr(laurent, "divide_exact", lambda num, den: None)
+        assert LocalizedElem.reduced(a, 1, a).pow == 1
 
 
 class TestFractionOps:

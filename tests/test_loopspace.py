@@ -1,8 +1,10 @@
+import json
+import math
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as strat
 
 from loopalg.cli import main
@@ -19,9 +21,36 @@ from loopalg.loopspace import (
     substitute_y,
 )
 
+from .strategies import ambient_polys
+
 
 def x(i, j):
     return xvar(i, j)
+
+
+def ladder_compose(f, series_list):
+    """compose as it was before powers were built by squaring: each
+    coordinate's powers one series product at a time, every rung kept."""
+    ladders = {}
+
+    def power(coord, exponent):
+        ladder = ladders.setdefault(coord, [None, series_list[coord - 1]])
+        while len(ladder) <= exponent:
+            ladder.append(ladder[-1] * series_list[coord - 1])
+        return ladder[exponent]
+
+    total = TruncSeries.zero()
+    for mono, coeff in f.terms.items():
+        if not mono:
+            term = TruncSeries.exact({0: Poly.const(coeff)})
+        else:
+            term = None
+            for ref, exponent in mono:
+                p = power(ref.coord, exponent)
+                term = p if term is None else term * p
+            term = term.scale(coeff)
+        total = total + term
+    return total
 
 
 class TestEvSeries:
@@ -84,6 +113,54 @@ class TestCompose:
         out = compose(f, ev_series(1, level, cap))
         for m in range(out.floor, out.cap):
             assert out.coeffs.get(m, Poly.zero()) == naive.get(m, Poly.zero())
+
+    @settings(deadline=None)
+    @given(
+        ambient_polys(dim=2, max_degree=6),
+        strat.integers(min_value=0, max_value=1),
+        strat.integers(min_value=1, max_value=2),
+    )
+    def test_matches_power_ladder(self, f, level, cap):
+        # Exponents up to 6: at 4 and beyond squaring takes fewer products
+        # than the ladder, and the windows must still agree.
+        series = ev_series(2, level, cap)
+        out, expected = compose(f, series), ladder_compose(f, series)
+        assert (out.cap, out.floor, out.coeffs) == (expected.cap, expected.floor,
+                                                    expected.coeffs)
+
+    def test_huge_exponent_takes_logarithmically_many_products(self, monkeypatch):
+        products = []
+        mul = TruncSeries.__mul__
+
+        def counted(self, other):
+            products.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(TruncSeries, "__mul__", counted)
+        out = compose(parse_poly("x1^1000", 1), ev_series(1, 0, 1))
+        assert out.coeffs == {0: x(1, 0) ** 1000}
+        assert len(products) <= 2 * math.ceil(math.log2(1000))
+
+    def test_exponents_up_to_three_take_the_ladders_products(self, monkeypatch):
+        # x1^3 + 2*x1^2 builds x1^2 once and x1^3 from it, as the ladder did.
+        products = []
+        mul = TruncSeries.__mul__
+
+        def counted(self, other):
+            products.append((self.floor, self.cap, other.floor, other.cap))
+            return mul(self, other)
+
+        monkeypatch.setattr(TruncSeries, "__mul__", counted)
+        compose(parse_poly("x1^3 + 2*x1^2", 1), ev_series(1, 1, 2))
+        assert products == [(-1, 2, -1, 2), (-2, 1, -1, 2)]
+
+    def test_huge_exponent_through_the_cli(self, capsys):
+        exponent = "1" * 40
+        code = main(["relations", "--f", f"x1^{exponent}", "--d", "1", "--n", "0",
+                     "--cap", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out) == [{"exponent": 0, "generator": f"x1_0^{exponent}"}]
 
     def test_rejects_indexed_input(self):
         with pytest.raises(ValueError):
