@@ -314,23 +314,22 @@ def cmd_check(cfg, args) -> int:
     d, cap, levels = cfg["d"], cfg["cap"], cfg["levels"]
     if not levels:
         raise ValueError("check needs at least one level")
+    top = max(levels)
     rng = random.Random(cfg["seed"])
+
+    def draw():
+        return sampling.random_series(rng, d, top, -top, cap)
+
     if args.suite == "good":
         f = _require_f(cfg)
-        composite = loopspace.compose(f, loopspace.ev_series(d, max(levels), cap))
+        composite = loopspace.compose(f, loopspace.ev_series(d, top, cap))
         report = seminorm.check_good(composite, levels, cfg["max_power"])
     elif args.suite == "isometry":
-        pairs = []
-        for _ in range(cfg["samples"]):
-            s = sampling.random_series(rng, d, max(levels), -max(levels), cap)
-            pairs.append((s, s))
+        pairs = [(s, s) for s in (draw() for _ in range(cfg["samples"]))]
         report = seminorm.check_isometry(pairs, levels)
     else:
-        pairs = []
-        for _ in range(cfg["samples"]):
-            s = sampling.random_series(rng, d, max(levels), -max(levels), cap)
-            t = sampling.random_series(rng, d, max(levels), -max(levels), cap)
-            pairs.append((s, t))
+        # s is drawn before t: tuple displays evaluate left to right.
+        pairs = [(draw(), draw()) for _ in range(cfg["samples"])]
         report = seminorm.check_ultrametric(pairs, levels, cfg["epsilon"])
     _emit(cfg, _json_text(report.to_jsonable()))
     return EXIT_OK if report.passed else EXIT_PROPERTY

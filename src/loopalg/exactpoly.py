@@ -90,7 +90,7 @@ class _FactorTable(dict):
 
 # The text of a factor, and its part of the sort key: (ref, -exp).
 _FACTOR_TEXT = _FactorTable(
-    lambda ref, exp: ref.render() if exp == 1 else f"{ref.render()}^{exp}"
+    lambda ref, exp: ref.render() if exp == 1 else f"{ref.render()}^{_digits(exp)}"
 )
 _FACTOR_KEY = _FactorTable(lambda ref, exp: (ref, -exp))
 _exponent = itemgetter(1)
@@ -523,7 +523,7 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
-            exponent = int(tok[1])
+            exponent = _int_of_digits(tok[1])
             if exponent < 1:
                 raise PolyParseError("exponent must be a positive integer", tok[2])
             return base ** exponent
@@ -535,7 +535,7 @@ class _Parser:
             return Poly.const(_int_of_digits(text))
         if kind == "ident":
             if len(text) > 1 and text[0] == "x" and text[1:].isdigit():
-                coord = int(text[1:])
+                coord = _int_of_digits(text[1:])
                 if 1 <= coord <= self.dim:
                     return xvar(coord)
             raise UnknownVariableError(

@@ -98,10 +98,6 @@ class TruncSeries:
             return dict(self.coeffs)
         return {m: c for m, c in self.coeffs.items() if m < cap}
 
-    def items(self):
-        """Stored (exponent, coefficient) pairs in increasing exponent order."""
-        return sorted(self.coeffs.items())
-
     def coefficient(self, exponent: int):
         """The coefficient at `exponent`; int 0 when known-zero, None if unknown."""
         if exponent in self.coeffs:
@@ -236,7 +232,7 @@ class TruncSeries:
 
     def __str__(self):
         parts = []
-        for m, c in self.items():
+        for m, c in sorted(self.coeffs.items()):
             text = str(c)
             if " " in text or text.startswith("-"):
                 text = f"({text})"

@@ -175,14 +175,10 @@ def loc_seminorm(u: LocalizedElem, a: TruncSeries, params: SemiNormParams) -> Se
         raise GoodElementViolationError(
             f"denominator semi-norm at level {params.level} is zero or only bounded"
         )
-    num_order = seminorm_order(u.num, params.level)
-    if isinstance(num_order, AtLeastCap):
-        if num_order.cap is None:
-            return SemiNormValue(Fraction(0), False)
-        return SemiNormValue(
-            params.epsilon ** (num_order.cap - u.pow * a_order), True
-        )
-    return SemiNormValue(params.epsilon ** (num_order - u.pow * a_order), False)
+    # eps^x / eps^y = eps^(x-y): an exact value stays exact, a bound a bound.
+    num = value_from_order(seminorm_order(u.num, params.level), params.epsilon)
+    den = params.epsilon ** (u.pow * a_order)
+    return SemiNormValue(num.value / den, num.is_upper_bound)
 
 
 # -- the comparison map into the localized coefficient model -------------------

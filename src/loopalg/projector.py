@@ -15,10 +15,10 @@ from typing import NamedTuple, Optional
 
 from .errors import PrecisionExhaustedError
 from .exactpoly import Poly
-from .laurent import AtLeastCap, TruncSeries
+from .laurent import TruncSeries
 from .localized import LocalizedElem, loc_to_model_with, model_zero_test
 from .loopspace import compose, ev_series, invert_series
-from .seminorm import SemiNormValue, projection_zero_test, value_from_order
+from .seminorm import SemiNormValue, order_exponent, projection_zero_test, value_from_order
 
 
 class NuPoly:
@@ -47,21 +47,8 @@ class NuPoly:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*nu")
-            else:
-                parts.append(f"{c}*nu^{k}")
-        return " + ".join(parts) if parts else "0"
-
     def __repr__(self):
-        return f"NuPoly({self})"
+        return f"NuPoly({list(self.coeffs)})"
 
 
 def make_projector(j: int, n: int) -> NuPoly:
@@ -136,8 +123,7 @@ class ConvergenceRow(NamedTuple):
 
 def _row(n, order, epsilon) -> ConvergenceRow:
     value = value_from_order(order, epsilon)
-    exponent = order.cap if isinstance(order, AtLeastCap) else order
-    return ConvergenceRow(n, exponent, value.value, value.is_upper_bound)
+    return ConvergenceRow(n, order_exponent(order), value.value, value.is_upper_bound)
 
 
 def _complement_setup(f, dim, j, norm_level, cap, loop_level):

@@ -16,18 +16,17 @@ def random_coefficient(rng) -> Fraction:
     return Fraction(num, den)
 
 
-def random_poly(rng, dim: int, level: int, max_terms: int = 3,
-                max_degree: int = 2, index_cap: int = 3,
-                include_y: bool = False) -> Poly:
-    """A sparse polynomial in the indexed variables at one truncation level.
+def random_poly(rng, dim: int, level: int, include_y: bool = False) -> Poly:
+    """A sparse polynomial in the indexed variables at one truncation level:
+    up to 3 terms of degree up to 2.
 
-    May be zero (with small probability); indices range over [-level, index_cap).
+    May be zero (with small probability); indices range over [-level, 3).
     """
     total = Poly.zero()
-    for _ in range(rng.randint(0, max_terms)):
+    for _ in range(rng.randint(0, 3)):
         term = Poly.const(random_coefficient(rng))
-        for _ in range(rng.randint(0, max_degree)):
-            index = rng.randrange(-level, index_cap)
+        for _ in range(rng.randint(0, 2)):
+            index = rng.randrange(-level, 3)
             if include_y and rng.random() < 0.3:
                 term = term * yvar(index)
             else:

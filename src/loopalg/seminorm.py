@@ -36,10 +36,6 @@ class SemiNormValue:
     value: Fraction
     is_upper_bound: bool = False
 
-    def __str__(self):
-        bound = " (upper bound)" if self.is_upper_bound else ""
-        return f"{self.value}{bound}"
-
 
 def projection_zero_test(level: int):
     """Zero test for Poly coefficients inside the level-n discrete algebra."""
@@ -69,13 +65,15 @@ def norm_leq(lhs: SemiNormValue, rhs: SemiNormValue) -> bool:
 
     A flagged value is an upper bound, so its true value lies in [0, value];
     the inequality is certainly violated only when the least possible lhs
-    exceeds the greatest possible rhs.
+    exceeds the greatest possible rhs. That greatest rhs is rhs.value
+    whether or not it is flagged, so rhs's flag is not read.
     """
     lhs_low = Fraction(0) if lhs.is_upper_bound else lhs.value
     return lhs_low <= rhs.value
 
 
-def _exponent_field(order) -> Optional[int]:
+def order_exponent(order) -> Optional[int]:
+    """The exponent of eps an order gives: the order, or the cap bounding it."""
     if isinstance(order, AtLeastCap):
         return order.cap
     return order
@@ -127,26 +125,23 @@ def check_good(series: TruncSeries, levels, max_power: int) -> CheckReport:
         raise ValueError("max_power must be >= 1")
     _require_cases(levels, "level")
     records = []
-    all_pass = True
     for level in sorted(levels):
         base = seminorm_order(series, level)
         base_ok = not isinstance(base, AtLeastCap)
         for k in range(1, max_power + 1):
             lhs = base if k == 1 else _power_order(series, level, base, k)
             flagged = isinstance(lhs, AtLeastCap) or not base_ok
-            ok = base_ok and not isinstance(lhs, AtLeastCap) and lhs == k * base
             records.append(
                 {
                     "level": level,
                     "power": k,
-                    "lhs_exponent": _exponent_field(lhs),
+                    "lhs_exponent": order_exponent(lhs),
                     "rhs_exponent": k * base if base_ok else None,
-                    "pass": ok,
+                    "pass": not flagged and lhs == k * base,
                     "upper_bound_involved": flagged,
                 }
             )
-            all_pass = all_pass and ok
-    return CheckReport("good", all_pass, tuple(records))
+    return CheckReport("good", all(r["pass"] for r in records), tuple(records))
 
 
 def check_isometry(pairs, levels) -> CheckReport:
@@ -156,25 +151,22 @@ def check_isometry(pairs, levels) -> CheckReport:
     _require_cases(pairs, "sample")
     _require_cases(levels, "level")
     records = []
-    all_pass = True
     for sample, (element, image) in enumerate(pairs):
         for level in sorted(levels):
             lhs = seminorm_order(element, level)
             rhs = seminorm_order(image, level)
-            ok = lhs == rhs
             records.append(
                 {
                     "sample": sample,
                     "level": level,
-                    "lhs_exponent": _exponent_field(lhs),
-                    "rhs_exponent": _exponent_field(rhs),
-                    "pass": ok,
+                    "lhs_exponent": order_exponent(lhs),
+                    "rhs_exponent": order_exponent(rhs),
+                    "pass": lhs == rhs,
                     "upper_bound_involved": isinstance(lhs, AtLeastCap)
                     or isinstance(rhs, AtLeastCap),
                 }
             )
-            all_pass = all_pass and ok
-    return CheckReport("isometry", all_pass, tuple(records))
+    return CheckReport("isometry", all(r["pass"] for r in records), tuple(records))
 
 
 def check_ultrametric(pairs, levels, epsilon: Fraction) -> CheckReport:
@@ -182,7 +174,6 @@ def check_ultrametric(pairs, levels, epsilon: Fraction) -> CheckReport:
     _require_cases(pairs, "sample")
     _require_cases(levels, "level")
     records = []
-    all_pass = True
     for sample, (s, t) in enumerate(pairs):
         # Neither depends on the level; an empty product window raises here,
         # before any record of the pair, as it would at the first level.
@@ -193,14 +184,8 @@ def check_ultrametric(pairs, levels, epsilon: Fraction) -> CheckReport:
             nt = seminorm(t, params)
             n_sum = seminorm(total, params)
             n_prod = seminorm(product, params)
-            max_rhs = SemiNormValue(
-                max(ns.value, nt.value), ns.is_upper_bound or nt.is_upper_bound
-            )
-            prod_rhs = SemiNormValue(
-                ns.value * nt.value, ns.is_upper_bound or nt.is_upper_bound
-            )
-            ultra = norm_leq(n_sum, max_rhs)
-            submult = norm_leq(n_prod, prod_rhs)
+            ultra = norm_leq(n_sum, SemiNormValue(max(ns.value, nt.value)))
+            submult = norm_leq(n_prod, SemiNormValue(ns.value * nt.value))
             records.append(
                 {
                     "sample": sample,
@@ -212,5 +197,5 @@ def check_ultrametric(pairs, levels, epsilon: Fraction) -> CheckReport:
                     ),
                 }
             )
-            all_pass = all_pass and ultra and submult
-    return CheckReport("ultrametric", all_pass, tuple(records))
+    passed = all(r["ultrametric_pass"] and r["submultiplicative_pass"] for r in records)
+    return CheckReport("ultrametric", passed, tuple(records))

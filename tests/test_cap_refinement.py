@@ -1,0 +1,67 @@
+"""The cap-refinement contract: running again at a higher cap never changes a
+known coefficient or an exact semi-norm value, and a bound never
+contradicts the value found later.
+
+Each operation runs on the same hypersurface at two caps c < c'. A run at c
+may refuse (PrecisionExhaustedError, a dead leading coefficient); a result
+at c must then be confirmed at c'.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given
+import hypothesis.strategies as strat
+
+from loopalg.errors import LoopAlgError
+from loopalg.exactpoly import parse_poly
+from loopalg.localized import LocalizedElem, loc_seminorm
+from loopalg.loopspace import compose, ev_series, invert_series
+from loopalg.seminorm import SemiNormParams, seminorm
+
+_HYPERSURFACES = ("x1", "x1 + x2", "x1^2 + x1", "x1*x2 + 1", "2*x1 + x2^2", "x1^3 + x2^2")
+
+
+def _refines(coarse, fine):
+    """A SemiNormValue at the lower cap against the one at the higher cap."""
+    if coarse.is_upper_bound:
+        return coarse.value >= fine.value
+    return fine == coarse
+
+
+def _attempt(run):
+    try:
+        return run()
+    except LoopAlgError:
+        return None
+
+
+@given(
+    strat.sampled_from(_HYPERSURFACES),
+    strat.sampled_from(_HYPERSURFACES),
+    strat.integers(min_value=0, max_value=2),
+    strat.integers(min_value=0, max_value=2),
+    strat.integers(min_value=1, max_value=5),
+    strat.integers(min_value=1, max_value=5),
+    strat.integers(min_value=0, max_value=3),
+)
+def test_higher_cap_refines(f_text, g_text, loop_level, norm_level, cap, step, power):
+    f, g = parse_poly(f_text, 2), parse_poly(g_text, 2)
+    params = SemiNormParams(Fraction(1, 2), norm_level)
+
+    def composites(c):
+        series = ev_series(2, loop_level, c)
+        return compose(f, series), compose(g, series)
+
+    (a, num), (a_fine, num_fine) = composites(cap), composites(cap + step)
+    assert a.agrees_with(a_fine) and num.agrees_with(num_fine)
+
+    inverse = _attempt(lambda: invert_series(a, loop_level))
+    if inverse is not None:
+        assert inverse.agrees_with(invert_series(a_fine, loop_level))
+
+    assert _refines(seminorm(a, params), seminorm(a_fine, params))
+
+    value = _attempt(lambda: loc_seminorm(LocalizedElem(num, power), a, params))
+    if value is not None:
+        fine_value = loc_seminorm(LocalizedElem(num_fine, power), a_fine, params)
+        assert _refines(value, fine_value)

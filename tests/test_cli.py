@@ -437,3 +437,17 @@ class TestLongCoefficients:
                              "--n", "0", "--cap", "1")
         assert (code, err) == (0, "")
         assert json.loads(out) == [{"exponent": 0, "generator": expected + "*x1_0"}]
+
+    def test_exponent_past_the_digit_limit(self, capsys):
+        digits = "1" * 5000
+        code, out, err = run(capsys, "relations", "--f", f"x1^{digits}", "--d", "1",
+                             "--n", "0", "--cap", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [{"exponent": 0, "generator": f"x1_0^{digits}"}]
+
+    def test_coordinate_past_the_digit_limit(self, capsys):
+        digits = "1" * 5000
+        assert run(capsys, "relations", "--f", f"x{digits}", "--d", "1", "--n", "0",
+                   "--cap", "1") == (
+            1, "", f"error: unknown variable 'x{digits}' (expected x1..x1) (at position 0)\n"
+        )

@@ -160,6 +160,18 @@ class TestParse:
         assert info.value.position == position
         assert str(info.value) == f"unexpected character {char!r} (at position {position})"
 
+    def test_integers_past_the_digit_limit(self):
+        # An exponent and a coordinate are read like a literal: `int` refuses
+        # strings over the interpreter's 4300-digit limit.
+        digits = "1" * 5000
+        assert parse_poly(f"x1^{digits}", 1) == xvar(1) ** ((10 ** 5000 - 1) // 9)
+        with pytest.raises(UnknownVariableError) as info:
+            parse_poly(f"x{digits}", 1)
+        assert info.value.position == 0
+        assert str(info.value) == (
+            f"unknown variable 'x{digits}' (expected x1..x1) (at position 0)"
+        )
+
     @given(ambient_polys())
     def test_print_parse_roundtrip(self, p):
         assert parse_poly(str(p), 2) == p
@@ -179,6 +191,11 @@ class TestPrinting:
 
     def test_negative_leading_term(self):
         assert str(-xvar(1) + const(5)) == "-x1 + 5"
+
+    def test_exponent_past_the_digit_limit(self):
+        # str() refuses the exponent; the factor text must not.
+        repunit = (10 ** 5000 - 1) // 9
+        assert str(xvar(1, 0) ** repunit) == "x1_0^" + "1" * 5000
 
     def test_degree_ties_across_families_and_indices(self):
         # Expected text printed by the comparator-sorted implementation.

@@ -7,7 +7,7 @@ import hypothesis.strategies as strat
 from loopalg import laurent, localized
 from loopalg.errors import GoodElementViolationError
 from loopalg.exactpoly import Poly, const, div_exact, parse_poly, xvar
-from loopalg.laurent import TruncSeries
+from loopalg.laurent import AtLeastCap, TruncSeries
 from loopalg.localized import (
     LocalizedCoef,
     LocalizedElem,
@@ -19,7 +19,7 @@ from loopalg.localized import (
 )
 from loopalg.loopspace import compose, ev_series, invert_series
 from loopalg.projector import NuPoly, apply_nu_poly_localized
-from loopalg.seminorm import SemiNormParams, SemiNormValue
+from loopalg.seminorm import SemiNormParams, SemiNormValue, seminorm_order
 
 from .strategies import poly_series
 
@@ -186,6 +186,59 @@ class TestLocSemiNorm:
         a = TruncSeries({-1: xvar(1, -1)}, 3, floor=-1)
         with pytest.raises(GoodElementViolationError):
             loc_seminorm(elem(poly_const_series(1), 1), a, SemiNormParams(EPS, 0))
+
+
+def _reference_loc_seminorm(u, a, params):
+    """loc_seminorm with the order-to-value rule written out by hand, as it
+    was before it read the numerator's value through value_from_order."""
+    a_order = seminorm_order(a, params.level)
+    if isinstance(a_order, AtLeastCap):
+        raise GoodElementViolationError(
+            f"denominator semi-norm at level {params.level} is zero or only bounded"
+        )
+    num_order = seminorm_order(u.num, params.level)
+    if isinstance(num_order, AtLeastCap):
+        if num_order.cap is None:
+            return SemiNormValue(Fraction(0), False)
+        return SemiNormValue(
+            params.epsilon ** (num_order.cap - u.pow * a_order), True
+        )
+    return SemiNormValue(params.epsilon ** (num_order - u.pow * a_order), False)
+
+
+_NORM_BASES = {
+    text: compose(parse_poly(text, 2), ev_series(2, 1, 4))
+    for text in ("x1", "x1^2 + x1", "x1*x2 + 1")
+}
+
+# Truncated windows whose coefficients die at low levels (indices down to
+# -2), the same coefficients known exactly, and the exact zero.
+_numerators = strat.one_of(
+    poly_series(dim=2, level=2, min_floor=-2, max_width=4),
+    poly_series(dim=2, level=2, min_floor=-2, max_width=4).map(
+        lambda s: TruncSeries.exact(s.coeffs)
+    ),
+    strat.just(TruncSeries.zero()),
+)
+
+
+class TestLocSemiNormMatchesReference:
+    def test_random_numerators(self):
+        seen = set()
+
+        @given(_numerators, strat.integers(min_value=0, max_value=3),
+               strat.sampled_from(sorted(_NORM_BASES)),
+               strat.integers(min_value=0, max_value=2))
+        def check(num, power, name, level):
+            a, u = _NORM_BASES[name], elem(num, power)
+            params = SemiNormParams(Fraction(2, 3), level)
+            value = loc_seminorm(u, a, params)
+            assert value == _reference_loc_seminorm(u, a, params)
+            seen.add("bound" if value.is_upper_bound else "zero" if not value.value
+                     else "exact")
+
+        check()
+        assert seen == {"bound", "zero", "exact"}
 
 
 class TestLocDerivative:

@@ -9,6 +9,7 @@ from loopalg.errors import PrecisionExhaustedError
 from loopalg.exactpoly import xvar
 from loopalg.laurent import AtLeastCap, TruncSeries
 from loopalg import loopspace
+from loopalg import seminorm as seminorm_module
 from loopalg.sampling import random_series
 from loopalg.seminorm import (
     CheckReport,
@@ -239,6 +240,20 @@ class TestUltrametricProperties:
         t = TruncSeries({1: xvar(1, 1)}, cap=3, floor=0)
         report = check_ultrametric([(s, t)], [0, 1], EPS)
         assert report.passed and isinstance(report, CheckReport)
+
+    @pytest.mark.parametrize("failing, rhs_value", [
+        ("ultrametric_pass", Fraction(1, 2)),  # max(|s|, |t|)
+        ("submultiplicative_pass", Fraction(1, 4)),  # |s| * |t|
+    ])
+    def test_verdict_reads_both_inequalities(self, monkeypatch, failing, rhs_value):
+        # |s| = |t| = 1/2 at every level, so the two right-hand sides differ;
+        # norm_leq is made to fail on one of them only.
+        s = TruncSeries({1: xvar(1, 0)}, cap=3, floor=0)
+        monkeypatch.setattr(seminorm_module, "norm_leq",
+                            lambda lhs, rhs: rhs.value != rhs_value)
+        report = check_ultrametric([(s, s)], [0, 1], EPS)
+        assert [r[failing] for r in report.records] == [False, False]
+        assert not report.passed
 
     def test_check_ultrametric_needs_a_sample_and_a_level(self):
         s = TruncSeries({0: xvar(1, 0)}, cap=3, floor=0)
