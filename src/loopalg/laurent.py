@@ -38,6 +38,14 @@ class AtLeastCap(NamedTuple):
     cap: Optional[int]
 
 
+def require_window(floor: int, cap: int) -> None:
+    """Refuse an empty window [floor, cap), naming the least cap that works."""
+    if cap <= floor:
+        raise PrecisionExhaustedError(
+            f"cap {cap} leaves the window [{floor}, {cap}) empty", required_cap=floor + 1
+        )
+
+
 def _min_cap(a, b):
     if a is None:
         return b
@@ -62,8 +70,6 @@ class TruncSeries:
                 raise ValueError(f"coefficient at {lowest} lies below floor {floor}")
             if cap is not None and max(clean) >= cap:
                 raise ValueError(f"coefficient at {max(clean)} is beyond cap {cap}")
-        if cap is not None and cap <= floor and clean:
-            raise ValueError("nonempty series with an empty window")
         self.coeffs = clean
         self.cap = cap
         self.floor = floor
@@ -82,6 +88,12 @@ class TruncSeries:
     @classmethod
     def constant(cls, value) -> "TruncSeries":
         return cls.exact({0: value})
+
+    @classmethod
+    def window(cls, coefficient, floor: int, cap: int) -> "TruncSeries":
+        """coefficient(m) at each m in [floor, cap), called in increasing m."""
+        require_window(floor, cap)
+        return cls({m: coefficient(m) for m in range(floor, cap)}, cap, floor)
 
     # -- window bookkeeping ----------------------------------------------------
 

@@ -9,32 +9,30 @@ coefficient of f(x(z)) is the single denominator needed to invert the whole
 series recursively, which is what the localized coefficient model runs on.
 """
 
+from functools import partial
 from typing import NamedTuple
 
 from .errors import NonInvertibleLeadingTermError, PrecisionExhaustedError
 from .exactpoly import Poly, xvar, yvar
-from .laurent import TruncSeries
+from .laurent import TruncSeries, require_window
 from .localized import LocalizedCoef, LocalizedElem, loc_to_model_with
+
+
+def _check_shape(dim: int, level: int) -> None:
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    if level < 0:
+        raise ValueError("truncation level must be >= 0")
 
 
 def ev_series(dim: int, level: int, cap: int):
     """The vector of coordinate evaluation series at one truncation level.
 
     Entry i (1-based coordinate) is sum of x{i}_j z^j over -level <= j < cap,
-    with floor -level.
+    with floor -level; an empty window raises PrecisionExhaustedError.
     """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    if level < 0:
-        raise ValueError("truncation level must be >= 0")
-    if cap <= -level:
-        raise ValueError(f"cap {cap} leaves an empty window at level {level}")
-    return [
-        TruncSeries(
-            {j: xvar(i, j) for j in range(-level, cap)}, cap, floor=-level
-        )
-        for i in range(1, dim + 1)
-    ]
+    _check_shape(dim, level)
+    return [TruncSeries.window(partial(xvar, i), -level, cap) for i in range(1, dim + 1)]
 
 
 def compose(f: Poly, series_list) -> TruncSeries:
@@ -97,31 +95,32 @@ def _relations_of(series: TruncSeries):
     return [Relation(e, series.coeffs.get(e, Poly.zero())) for e in exponents]
 
 
+def _factor_cap(k: int, dim: int, level: int, cap: int) -> int:
+    """The cap of k factors with floor -level whose product has the output
+    window [-k*level, cap) (each other factor's floor lowers the product's
+    cap by level). Bad dim or level is reported before an empty window."""
+    _check_shape(dim, level)
+    require_window(-k * level, cap)
+    return cap + (k - 1) * level
+
+
 def relations(f: Poly, dim: int, level: int, cap: int):
     """Defining relations of the truncated loop space of {f = 0}.
 
-    `cap` bounds the emitted window: the evaluation series is built at
-    enough internal precision that every coefficient of f(x(z)) below z^cap
-    is exact, and one Relation per window exponent is emitted (in
-    increasing exponent order).
+    `cap` bounds the output window [-level*deg f, cap) of f(x(z)) (for a
+    constant f, [-level, cap)), every coefficient of which is exact; one
+    Relation per window exponent is emitted, in increasing order.
     """
-    internal_cap = cap + max(0, f.total_degree() - 1) * level
-    return _relations_of(compose(f, ev_series(dim, level, internal_cap)))
+    factor_cap = _factor_cap(max(1, f.total_degree()), dim, level, cap)
+    return _relations_of(compose(f, ev_series(dim, level, factor_cap)))
 
 
 def complement_relations(f: Poly, dim: int, level: int, cap: int):
     """Defining relations of the truncated loops into the complement of f=0:
-    the z-coefficients of y(z) * f(x(z)) - 1 up to z^cap."""
-    degree = f.total_degree()
-    boost = level * degree
-    if cap + boost <= -level:
-        raise PrecisionExhaustedError(
-            "complement window is empty", required_cap=-level - boost + 1
-        )
-    fe = compose(f, ev_series(dim, level, cap + boost))
-    y_series = TruncSeries(
-        {j: yvar(j) for j in range(-level, cap + boost)}, cap + boost, floor=-level
-    )
+    y(z) * f(x(z)) - 1 on the output window [-level*(deg f + 1), cap)."""
+    factor_cap = _factor_cap(f.total_degree() + 1, dim, level, cap)
+    fe = compose(f, ev_series(dim, level, factor_cap))
+    y_series = TruncSeries.window(yvar, -level, factor_cap)
     return _relations_of(y_series * fe - TruncSeries.constant(Poly.const(1)))
 
 
@@ -132,9 +131,7 @@ def invert_series(s: TruncSeries, level: int) -> TruncSeries:
     known coefficients of s starting at z^m, t gets W known coefficients
     starting at z^-m, so the product is exactly 1 on [0, W).
     """
-    if s.is_zero_window():
-        raise NonInvertibleLeadingTermError("cannot invert a series with no known terms")
-    if not s.coeffs[min(s.coeffs)].project(level):
+    if s.coeffs and not s.coeffs[min(s.coeffs)].project(level):
         raise NonInvertibleLeadingTermError(
             f"leading coefficient dies at projection level {level}"
         )

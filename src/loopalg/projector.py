@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from .errors import PrecisionExhaustedError
 from .exactpoly import Poly
-from .laurent import TruncSeries
+from .laurent import TruncSeries, require_window
 from .localized import LocalizedElem, loc_to_model_with, model_zero_test
 from .loopspace import compose, ev_series, invert_series
 from .seminorm import SemiNormValue, order_exponent, projection_zero_test, value_from_order
@@ -169,11 +169,8 @@ def convergence_experiment(
     n_values = sorted(n_values)
     if not n_values:
         return []
-    if cap <= max(n_values) + 1:
-        raise PrecisionExhaustedError(
-            "difference terms would fall beyond the cap",
-            required_cap=max(n_values) + 2,
-        )
+    # Each difference's first term past the band, z^(n+1), must be known.
+    require_window(max(n_values) + 1, cap)
     if f is None:
         if loop_level is None:
             loop_level = max(norm_level, abs(j))

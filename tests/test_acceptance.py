@@ -88,7 +88,7 @@ def test_criterion_4_isometry():
     rng = random.Random(2026)
     pairs = []
     for _ in range(100):
-        series = random_series(rng, dim=2, level=4, floor=-4, cap=4, include_y=False)
+        series = random_series(rng, dim=2, level=4, floor=-4, cap=4)
         pairs.append((series, series))
     result = check_isometry(pairs, range(5))
     report(4, "isometric inclusion", result.passed and len(pairs) == 100)

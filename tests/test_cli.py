@@ -215,10 +215,11 @@ class TestCheck:
             assert (code, out) == (1, "")
             assert err == "error: a property suite needs at least one sample\n"
 
-    def test_empty_window_is_input_error(self, capsys):
+    def test_empty_window_is_precision_error(self, capsys):
         # cap -3 at level 0 leaves the window [0, -3): every sample would
         # hold no coefficient, so the suites must not pass on upper bounds.
-        expected = (1, "", "error: cap -3 leaves an empty window at level 0\n")
+        expected = (2, "", "error: cap -3 leaves the window [0, -3) empty "
+                           "(a cap of at least 1 is required)\n")
         good = run(capsys, "check", "good", "--f", "x1", "--d", "1", "--cap", "-3",
                    "--levels", "0")
         assert good == expected

@@ -47,6 +47,13 @@ GOLDEN = [
      1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("relations", "--complement", "--f", "x1*x2+1", "--d", "2", "--n", "1", "--cap", "3"),
      0, "e1a84d20da18db682af525e99da9a81fd60a1c788e925c18945936bdab007e46"),
+    # A cap that empties the output window, [-4, -5) and [-6, -6): a precision
+    # error naming the least cap that works (-3, -5), and nothing on stdout.
+    # The complement window starts at -6, so its twin takes cap -6, not -5.
+    (("relations", "--f", "x1^2", "--d", "1", "--n", "2", "--cap", "-5"),
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("relations", "--complement", "--f", "x1^2", "--d", "1", "--n", "2", "--cap", "-6"),
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # Recorded before flags and config values shared one settings table: each
     # output format of the table commands, ev, and each property suite.
     (("relations", "--f", "x1*x2+1", "--d", "2", "--n", "1", "--cap", "3", "--format", "text"),

@@ -64,8 +64,9 @@ class TestEvSeries:
         assert s1.coeffs == {0: x(1, 0)} and s2.coeffs == {0: x(2, 0)}
 
     def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PrecisionExhaustedError) as info:
             ev_series(1, 0, 0)
+        assert info.value.required_cap == 1
 
 
 class TestCompose:
