@@ -35,6 +35,11 @@ class _ArgumentError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # A flag has one spelling: no prefix of it is accepted, so a flag a
+    # command does not have is never read as a longer one it has.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with status 2 on bad usage; that slot belongs to
     # precision errors here, so convert to an input error instead.
     def error(self, message):
@@ -97,8 +102,8 @@ def _format(name, value) -> str:
     return value
 
 
-# name: (default, converter, help). Every setting is a config key; all but
-# the last two are flags of every command, those two of `check` only.
+# name: (default, converter, help). Every setting is a config key, so one
+# config file serves every command.
 _SETTINGS = {
     "d": (1, _int, "ambient dimension"),
     "f": (None, lambda name, value: _flag_text(value),
@@ -112,17 +117,19 @@ _SETTINGS = {
     "output": (None, _path, "write output to this path (default stdout)"),
     "format": (None, _format, None),
     "samples": (100, _int, "number of random samples"),
-    "max_power": (3, _int, None),
 }
-_CHECK_ONLY = ("samples", "max_power")
 
-
-def _add_flags(parser, names):
-    for name in names:
-        # --format shows its choices, as an argparse choices= list would.
-        metavar = "{" + ",".join(_FORMATS) + "}" if name == "format" else None
-        parser.add_argument("--" + name.replace("_", "-"), metavar=metavar,
-                            help=_SETTINGS[name][2])
+# The settings each command reads, which are its flags: --N for level,
+# --NAME for the others.
+_COMMAND_SETTINGS = {
+    "relations": ("d", "f", "n", "cap", "output", "format"),
+    "ev": ("d", "n", "cap", "output"),
+    "invert": ("d", "f", "n", "cap", "output"),
+    "norm": ("d", "f", "n", "cap", "epsilon", "levels", "output", "format"),
+    "converge": ("d", "f", "cap", "epsilon", "level", "output", "format"),
+    "approx": ("d", "f", "cap", "epsilon", "level", "output"),
+    "check": ("d", "f", "cap", "epsilon", "levels", "seed", "samples", "output"),
+}
 
 
 def _settings(args) -> dict:
@@ -171,22 +178,23 @@ def _build_parser():
     p.add_argument("--mode", choices=["plain", "complement"], default="plain")
     p.add_argument("--j", type=int, default=0, help="target z-power")
     p.add_argument("--n-max", type=int, default=5, help="largest band width")
-    p.add_argument("--N", dest="level", metavar="NORM_LEVEL", help="semi-norm level")
     p.add_argument("--loop-level", type=int, help="truncation level of the target")
 
     p = sub.add_parser("approx", help="one localized approximant and its distance")
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--band", type=int, default=1, help="extractor band width")
-    p.add_argument("--N", dest="level", metavar="NORM_LEVEL", help="semi-norm level")
     p.add_argument("--loop-level", type=int)
 
     p = sub.add_parser("check", help="run a property suite")
     p.add_argument("suite", choices=["good", "isometry", "ultrametric"])
-    _add_flags(p, _CHECK_ONLY)
 
-    for p in sub.choices.values():
+    for command, p in sub.choices.items():
         p.add_argument("--config", help="JSON file with default settings")
-        _add_flags(p, [name for name in _SETTINGS if name not in _CHECK_ONLY])
+        for name in _COMMAND_SETTINGS[command]:
+            # --format shows its choices, as an argparse choices= list would.
+            metavar = "{" + ",".join(_FORMATS) + "}" if name == "format" else None
+            flag = "--N" if name == "level" else "--" + name
+            p.add_argument(flag, dest=name, metavar=metavar, help=_SETTINGS[name][2])
     return parser
 
 
@@ -323,7 +331,8 @@ def cmd_check(cfg, args) -> int:
     if args.suite == "good":
         f = _require_f(cfg)
         composite = loopspace.compose(f, loopspace.ev_series(d, top, cap))
-        report = seminorm.check_good(composite, levels, cfg["max_power"])
+        # Powers 1 to 3 of the series at each level.
+        report = seminorm.check_good(composite, levels, 3)
     elif args.suite == "isometry":
         pairs = [(s, s) for s in (draw() for _ in range(cfg["samples"]))]
         report = seminorm.check_isometry(pairs, levels)

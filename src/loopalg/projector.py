@@ -16,9 +16,15 @@ from typing import NamedTuple, Optional
 from .errors import PrecisionExhaustedError
 from .exactpoly import Poly
 from .laurent import TruncSeries, require_window
-from .localized import LocalizedElem, loc_to_model_with, model_zero_test
+from .localized import LocalizedElem, loc_to_model_with, model_seminorm, model_zero_test
 from .loopspace import compose, ev_series, invert_series
-from .seminorm import SemiNormValue, order_exponent, projection_zero_test, value_from_order
+from .seminorm import (
+    SemiNormParams,
+    SemiNormValue,
+    order_exponent,
+    projection_zero_test,
+    value_from_order,
+)
 
 
 class NuPoly:
@@ -218,5 +224,7 @@ def approximate_coefficient(
     # The inverse is the model image of u = 1/a.
     commutes = model.agrees_with(apply_nu_poly(make_projector(j, n), inverse))
     diff = model - _reference_term(inverse, j, "inverse")
-    order = diff.z_order(model_zero_test(norm_level, a.coeffs[min(a.coeffs)]))
-    return ApproxResult(element, value_from_order(order, epsilon), model, commutes)
+    distance = model_seminorm(
+        diff, SemiNormParams(epsilon, norm_level), a.coeffs[min(a.coeffs)]
+    )
+    return ApproxResult(element, distance, model, commutes)

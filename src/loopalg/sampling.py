@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from .exactpoly import Poly, xvar
 from .laurent import TruncSeries
+from .loopspace import _check_shape
 
 
 def random_coefficient(rng) -> Fraction:
@@ -36,11 +37,11 @@ def random_poly(rng, dim: int, level: int) -> Poly:
 def random_series(rng, dim: int, level: int, floor: int, cap: int) -> TruncSeries:
     """A truncated series with random polynomial coefficients (some zero).
 
-    Raises ValueError when dim < 1, and PrecisionExhaustedError when [floor,
-    cap) is empty: such a sample would only ever give upper bounds.
+    Raises ValueError when dim < 1 or level < 0, and PrecisionExhaustedError
+    when [floor, cap) is empty: such a sample would only ever give upper
+    bounds.
     """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_shape(dim, level)
     return TruncSeries.window(
         lambda m: random_poly(rng, dim, level) if rng.random() < 0.8 else 0, floor, cap
     )

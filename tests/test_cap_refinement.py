@@ -17,7 +17,8 @@ import hypothesis.strategies as strat
 
 from loopalg.errors import LoopAlgError, PrecisionExhaustedError
 from loopalg.exactpoly import parse_poly
-from loopalg.localized import LocalizedElem, loc_seminorm
+from loopalg.laurent import divide_exact
+from loopalg.localized import LocalizedElem, loc_seminorm, loc_to_model_with
 from loopalg.loopspace import (
     complement_relations,
     compose,
@@ -25,8 +26,14 @@ from loopalg.loopspace import (
     invert_series,
     relations,
 )
+from loopalg.projector import (
+    NuPoly,
+    apply_nu_poly_localized,
+    approximate_coefficient,
+    convergence_experiment,
+)
 from loopalg.sampling import random_series
-from loopalg.seminorm import SemiNormParams, seminorm
+from loopalg.seminorm import SemiNormParams, SemiNormValue, seminorm
 
 from .strategies import ambient_polys
 
@@ -43,28 +50,37 @@ def _refines(coarse, fine):
 def _attempt(run):
     try:
         return run()
-    except LoopAlgError:
+    except (LoopAlgError, ValueError):
         return None
 
 
+_hypersurfaces = strat.sampled_from(_HYPERSURFACES).map(lambda text: parse_poly(text, 2))
+_loop_levels = strat.integers(min_value=0, max_value=2)
+_norm_levels = strat.integers(min_value=0, max_value=2)
+_slots = strat.integers(min_value=0, max_value=4)
+_caps = strat.integers(min_value=1, max_value=5)
+_steps = strat.integers(min_value=1, max_value=5)
+
+
+def _composites(f, g, loop_level, cap):
+    series = ev_series(2, loop_level, cap)
+    return compose(f, series), compose(g, series)
+
+
 @given(
-    strat.sampled_from(_HYPERSURFACES),
-    strat.sampled_from(_HYPERSURFACES),
-    strat.integers(min_value=0, max_value=2),
-    strat.integers(min_value=0, max_value=2),
-    strat.integers(min_value=1, max_value=5),
-    strat.integers(min_value=1, max_value=5),
+    _hypersurfaces,
+    _hypersurfaces,
+    _loop_levels,
+    _norm_levels,
+    _caps,
+    _steps,
     strat.integers(min_value=0, max_value=3),
 )
-def test_higher_cap_refines(f_text, g_text, loop_level, norm_level, cap, step, power):
-    f, g = parse_poly(f_text, 2), parse_poly(g_text, 2)
+def test_higher_cap_refines(f, g, loop_level, norm_level, cap, step, power):
     params = SemiNormParams(Fraction(1, 2), norm_level)
-
-    def composites(c):
-        series = ev_series(2, loop_level, c)
-        return compose(f, series), compose(g, series)
-
-    (a, num), (a_fine, num_fine) = composites(cap), composites(cap + step)
+    (a, num), (a_fine, num_fine) = (
+        _composites(f, g, loop_level, c) for c in (cap, cap + step)
+    )
     assert a.agrees_with(a_fine) and num.agrees_with(num_fine)
 
     inverse = _attempt(lambda: invert_series(a, loop_level))
@@ -77,6 +93,97 @@ def test_higher_cap_refines(f_text, g_text, loop_level, norm_level, cap, step, p
     if value is not None:
         fine_value = loc_seminorm(LocalizedElem(num_fine, power), a_fine, params)
         assert _refines(value, fine_value)
+
+
+@given(
+    _hypersurfaces,
+    _hypersurfaces,
+    _loop_levels,
+    _caps,
+    _steps,
+    strat.integers(min_value=0, max_value=2),
+    strat.lists(strat.integers(min_value=-3, max_value=3), max_size=4),
+)
+def test_model_images_refine(f, g, loop_level, cap, step, power, nu_coeffs):
+    """The model image of g(x(z))/a^p, and of a Euler-operator polynomial
+    applied to it in the localisation, keeps every coefficient it knows."""
+    (a, num), (a_fine, num_fine) = (
+        _composites(f, g, loop_level, c) for c in (cap, cap + step)
+    )
+    u, u_fine = LocalizedElem(num, power), LocalizedElem(num_fine, power)
+    model = _attempt(lambda: loc_to_model_with(u, a))
+    if model is None:
+        return
+    assert model.agrees_with(loc_to_model_with(u_fine, a_fine))
+    p = NuPoly([Fraction(c, 2) for c in nu_coeffs])
+    image = loc_to_model_with(apply_nu_poly_localized(p, u, a), a)
+    assert image.agrees_with(
+        loc_to_model_with(apply_nu_poly_localized(p, u_fine, a_fine), a_fine)
+    )
+
+
+@given(_hypersurfaces, _hypersurfaces, _loop_levels, _caps, _steps)
+def test_exact_quotients_refine(f, g, loop_level, cap, step):
+    """Where both caps give a quotient, the quotients agree. Divisibility
+    itself is not monotone in the cap: x1 over x1*x2 + 1 at level 1 has a
+    quotient at cap 1 and none at cap 2."""
+    (a, num), (a_fine, num_fine) = (
+        _composites(f, g, loop_level, c) for c in (cap, cap + step)
+    )
+    for top, bottom, top_fine, bottom_fine in (
+        (num, a, num_fine, a_fine),
+        (num * a, a, num_fine * a_fine, a_fine),
+    ):
+        quotient = divide_exact(top, bottom)
+        quotient_fine = divide_exact(top_fine, bottom_fine)
+        if quotient is not None and quotient_fine is not None:
+            assert quotient.agrees_with(quotient_fine)
+
+
+@given(
+    _hypersurfaces,
+    _slots,
+    strat.integers(min_value=0, max_value=3),
+    _norm_levels,
+    strat.one_of(strat.none(), _loop_levels),
+    _caps,
+    _steps,
+)
+def test_approximant_distance_refines(f, j, band, norm_level, loop_level, cap, step):
+    def run(c):
+        return approximate_coefficient(f, 2, j, band, norm_level, Fraction(1, 2), c,
+                                       loop_level)
+
+    result = _attempt(lambda: run(cap))
+    if result is None:
+        return
+    fine = run(cap + step)
+    assert result.model.agrees_with(fine.model)
+    assert _refines(result.distance, fine.distance)
+
+
+@given(
+    strat.one_of(strat.none(), _hypersurfaces),
+    _slots,
+    strat.integers(min_value=1, max_value=3),
+    _norm_levels,
+    strat.one_of(strat.none(), _loop_levels),
+    strat.integers(min_value=1, max_value=7),
+    _steps,
+)
+def test_convergence_rows_refine(f, j, n_max, norm_level, loop_level, cap, step):
+    def run(c):
+        return convergence_experiment(2, f, j, range(1, n_max + 1), norm_level,
+                                      Fraction(1, 2), c, loop_level)
+
+    rows = _attempt(lambda: run(cap))
+    if rows is None:
+        return
+    fine_rows = run(cap + step)
+    assert [row.n for row in rows] == [row.n for row in fine_rows]
+    for row, fine in zip(rows, fine_rows):
+        assert _refines(SemiNormValue(row.distance, row.upper_bound),
+                        SemiNormValue(fine.distance, fine.upper_bound))
 
 
 # `required_cap` is exact: every cap at or below an empty window's floor

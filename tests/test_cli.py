@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import sys
+from collections import defaultdict
 
 import pytest
 
@@ -120,8 +122,8 @@ class TestConverge:
 
 
 class TestNormLevel:
-    """--N is the other spelling of --level in converge and approx: one
-    setting, read by the settings table like any other flag."""
+    """--N is the one flag of the semi-norm level, a flag of converge and
+    approx only: one setting, read by the settings table like any other."""
 
     # Commands whose output differs between the two levels given.
     CASES = [
@@ -130,26 +132,14 @@ class TestNormLevel:
     ]
 
     @pytest.mark.parametrize("argv, low, high", CASES)
-    def test_later_flag_wins(self, capsys, argv, low, high):
-        at_low = run(capsys, *argv, "--level", low)
-        at_high = run(capsys, *argv, "--level", high)
-        assert at_low[0] == at_high[0] == 0 and at_low != at_high
-        assert run(capsys, *argv, "--N", low) == at_low
-        assert run(capsys, *argv, "--N", high, "--level", low) == at_low
-        assert run(capsys, *argv, "--level", high, "--N", low) == at_low
-        assert run(capsys, *argv, "--N", low, "--level", high) == at_high
-        assert run(capsys, *argv, "--level", low, "--N", high) == at_high
-
-    @pytest.mark.parametrize("argv, low, high", CASES)
     def test_config_level_applies_without_either_flag(self, capsys, tmp_path, argv,
                                                       low, high):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"level": int(high)}))
-        at_high = run(capsys, *argv, "--N", high)
+        at_low, at_high = run(capsys, *argv, "--N", low), run(capsys, *argv, "--N", high)
+        assert at_low[0] == at_high[0] == 0 and at_low != at_high
         assert run(capsys, *argv, "--config", str(config)) == at_high
-        assert run(capsys, *argv, "--config", str(config), "--N", low) == run(
-            capsys, *argv, "--level", low
-        )
+        assert run(capsys, *argv, "--config", str(config), "--N", low) == at_low
 
     @pytest.mark.parametrize("command", ["converge", "approx"])
     def test_bad_value_is_input_error(self, capsys, command):
@@ -157,11 +147,11 @@ class TestNormLevel:
             1, "", 'error: level must be an integer, got "x"\n'
         )
 
-    # SHA-256 of `--help` at COLUMNS=80, recorded while --N was a setting of
-    # its own: merging it into --level changed no byte.
+    # SHA-256 of `--help` at COLUMNS=80, recorded when each command came to
+    # take only the flags of the settings it reads.
     HELP = {
-        "converge": "0cc557bc1ef995080a8ec9b941101b18a86971c7dc45718df5408ce93cd18e35",
-        "approx": "9ac6a6e30bbb80180a3be4a170926066114343f9d0b05920950c54114c853c8b",
+        "converge": "2b06978d8023770314b29814d2d4409bf9eafbf40fab86c93e875a8478128e63",
+        "approx": "6e00e99ce451acf7576c3bd6e8831c57b6596ff91b362a3f7ac0914a485a9bd2",
     }
 
     @pytest.mark.parametrize("command", sorted(HELP))
@@ -184,6 +174,10 @@ class TestApprox:
         assert payload["model_commutes"] is True
         assert payload["denominator_power"] == 3
         assert "ev(f)^3" in payload["element"]
+
+    def test_negative_norm_level_is_input_error(self, capsys):
+        assert run(capsys, "approx", "--f", "x1", "--d", "1", "--j", "1", "--N", "-1",
+                   "--loop-level", "1") == (1, "", "error: level must be >= 0\n")
 
 
 class TestCheck:
@@ -242,6 +236,12 @@ class TestCheck:
         assert run(capsys, "check", suite, "--d", "0") == (
             1, "", "error: dimension must be >= 1\n"
         )
+
+    @pytest.mark.parametrize("suite", ["isometry", "ultrametric"])
+    def test_negative_level_is_input_error(self, capsys, suite):
+        # The samples are drawn at the top level, which must be a level.
+        assert run(capsys, "check", suite, "--d", "1", "--samples", "2",
+                   "--levels", "-5") == (1, "", "error: truncation level must be >= 0\n")
 
     def test_norm_without_levels_is_empty(self, capsys, tmp_path):
         config = tmp_path / "run.json"
@@ -319,17 +319,33 @@ class TestPlumbing:
             1, "", "error: this command needs --f\n"
         )
 
-    def test_flag_values_are_checked_even_when_unread(self, capsys):
+    def test_flag_values_are_checked_even_when_unread(self, capsys, tmp_path):
         cases = [
             (("norm", "--f", "x1", "--epsilon", "1/0"),
              'epsilon must be a fraction p/q, got "1/0"'),
             (("norm", "--f", "x1", "--cap", "2.7"), 'cap must be an integer, got "2.7"'),
-            # ev reads neither epsilon nor seed.
-            (("ev", "--epsilon", "3/2"), "epsilon must lie strictly between 0 and 1, got 3/2"),
-            (("ev", "--seed", "x"), 'seed must be an integer, got "x"'),
         ]
         for argv, message in cases:
             assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+        # ev reads neither epsilon nor seed: a config file, which serves every
+        # command, may set them and has them checked; a flag is not ev's.
+        config = tmp_path / "run.json"
+        for payload, message in (
+            ({"epsilon": "3/2"}, "epsilon must lie strictly between 0 and 1, got 3/2"),
+            ({"seed": "x"}, 'seed must be an integer, got "x"'),
+        ):
+            config.write_text(json.dumps(payload))
+            assert run(capsys, "ev", "--config", str(config)) == (1, "", f"error: {message}\n")
+        assert run(capsys, "ev", "--epsilon", "3/2") == (
+            1, "", "error: unrecognized arguments: --epsilon 3/2\n"
+        )
+
+    def test_prefix_of_a_flag_is_unrecognized(self, capsys):
+        # --level is no flag of norm or check, and is not read as --levels.
+        for argv in (("norm", "--f", "x1"), ("check", "good", "--f", "x1")):
+            assert run(capsys, *argv, "--level", "2") == (
+                1, "", "error: unrecognized arguments: --level 2\n"
+            )
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rels.json"
@@ -378,6 +394,59 @@ class TestPlumbing:
                 [*case, "--output", str(second)]
             )
             assert first.read_bytes() == second.read_bytes()
+
+
+class _RecordingSettings(dict):
+    """Settings that note each key a command reads into `seen`."""
+
+    def __init__(self, values, seen):
+        super().__init__(values)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+
+class TestFlagsMatchReads:
+    """Each command's setting flags are exactly the settings it reads."""
+
+    # Every branch that reads settings: both converge modes, all three
+    # suites, relations with and without --complement.
+    RUNS = [
+        ("relations", "--f", "x1", "--n", "0", "--cap", "1"),
+        ("relations", "--complement", "--f", "x1", "--n", "0", "--cap", "1"),
+        ("ev", "--cap", "1"),
+        ("invert", "--f", "x1", "--cap", "3"),
+        ("norm", "--f", "x1", "--levels", "0,1"),
+        ("converge", "--mode", "plain", "--j", "0", "--n-max", "2"),
+        ("converge", "--mode", "complement", "--f", "x1", "--j", "1", "--n-max", "2"),
+        ("approx", "--f", "x1"),
+        ("check", "good", "--f", "x1", "--levels", "0,1"),
+        ("check", "isometry", "--samples", "2", "--levels", "0,1"),
+        ("check", "ultrametric", "--samples", "2", "--levels", "0,1"),
+    ]
+
+    @staticmethod
+    def _setting_flags(capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", capsys.readouterr().out)
+        names = {"level" if flag == "--N" else flag[2:] for flag in flags}
+        return names & set(cli._SETTINGS)
+
+    def test_each_command_reads_exactly_its_flags(self, capsys, monkeypatch):
+        read = defaultdict(set)
+        settings = cli._settings
+        monkeypatch.setattr(
+            cli, "_settings", lambda args: _RecordingSettings(settings(args), read[args.command])
+        )
+        for argv in self.RUNS:
+            assert run(capsys, *argv)[0] == 0, argv
+        commands = {argv[0] for argv in self.RUNS}
+        assert commands == set(cli._COMMAND_SETTINGS)
+        for command in sorted(commands):
+            assert read[command] == self._setting_flags(capsys, command), command
 
 
 class TestParserBuiltOnce:

@@ -87,18 +87,18 @@ GOLDEN = [
      0, "db4815d9e27dfda57e5a0d87ce7ca916dccf60e882739add333ce9c177e5679b"),
 ]
 
-# The option strings each subcommand's --help listed before the settings table
-# generated the flags.
-COMMON_OPTIONS = {"-h", "--help", "--config", "--d", "--f", "--n", "--cap", "--epsilon",
-                  "--level", "--levels", "--seed", "--output", "--format"}
+# The option strings of each subcommand's --help: -h, --config, the flags of
+# the settings the command reads (--N for the semi-norm level) and its own.
+COMMON_OPTIONS = {"-h", "--help", "--config", "--d", "--cap", "--output"}
 OPTIONS = {
-    "relations": COMMON_OPTIONS | {"--complement"},
-    "ev": COMMON_OPTIONS,
-    "invert": COMMON_OPTIONS,
-    "norm": COMMON_OPTIONS,
-    "converge": COMMON_OPTIONS | {"--mode", "--j", "--n-max", "--N", "--loop-level"},
-    "approx": COMMON_OPTIONS | {"--j", "--band", "--N", "--loop-level"},
-    "check": COMMON_OPTIONS | {"--samples", "--max-power"},
+    "relations": COMMON_OPTIONS | {"--f", "--n", "--format", "--complement"},
+    "ev": COMMON_OPTIONS | {"--n"},
+    "invert": COMMON_OPTIONS | {"--f", "--n"},
+    "norm": COMMON_OPTIONS | {"--f", "--n", "--epsilon", "--levels", "--format"},
+    "converge": COMMON_OPTIONS | {"--f", "--epsilon", "--N", "--format", "--mode", "--j",
+                                  "--n-max", "--loop-level"},
+    "approx": COMMON_OPTIONS | {"--f", "--epsilon", "--N", "--j", "--band", "--loop-level"},
+    "check": COMMON_OPTIONS | {"--f", "--epsilon", "--levels", "--seed", "--samples"},
 }
 
 

@@ -300,3 +300,9 @@ def test_norm_leq_flags():
     assert norm_leq(exact_half, bound_one)
     assert norm_leq(bound_one, exact_half)  # bound could be anything below 1
     assert not norm_leq(SemiNormValue(Fraction(2), False), exact_half)
+
+
+def test_random_series_rejects_a_negative_level():
+    # Indices are drawn from [-level, 3): a negative level has none to draw.
+    with pytest.raises(ValueError, match="truncation level must be >= 0"):
+        random_series(random.Random(0), 1, -1, 1, 3)
