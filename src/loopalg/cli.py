@@ -128,7 +128,7 @@ _COMMAND_SETTINGS = {
     "norm": ("d", "f", "n", "cap", "epsilon", "levels", "output", "format"),
     "converge": ("d", "f", "cap", "epsilon", "level", "output", "format"),
     "approx": ("d", "f", "cap", "epsilon", "level", "output"),
-    "check": ("d", "f", "cap", "epsilon", "levels", "seed", "samples", "output"),
+    "check": ("d", "f", "cap", "levels", "seed", "samples", "output"),
 }
 
 
@@ -339,7 +339,7 @@ def cmd_check(cfg, args) -> int:
     else:
         # s is drawn before t: tuple displays evaluate left to right.
         pairs = [(draw(), draw()) for _ in range(cfg["samples"])]
-        report = seminorm.check_ultrametric(pairs, levels, cfg["epsilon"])
+        report = seminorm.check_ultrametric(pairs, levels)
     _emit(cfg, _json_text(report.to_jsonable()))
     return EXIT_OK if report.passed else EXIT_PROPERTY
 

@@ -85,23 +85,20 @@ class Relation(NamedTuple):
     generator: Poly
 
 
-def _relations_of(series: TruncSeries):
-    """One Relation per exponent of the series' window, in increasing order;
-    an exact series gives its stored exponents."""
-    if series.cap is None:
-        exponents = sorted(series.coeffs)
-    else:
-        exponents = range(series.floor, series.cap)
-    return [Relation(e, series.coeffs.get(e, Poly.zero())) for e in exponents]
+def _relations_of(series: TruncSeries, floor: int, cap: int):
+    """One Relation per exponent of the output window [floor, cap), in
+    increasing order."""
+    return [Relation(e, series.coeffs.get(e, Poly.zero())) for e in range(floor, cap)]
 
 
-def _factor_cap(k: int, dim: int, level: int, cap: int) -> int:
-    """The cap of k factors with floor -level whose product has the output
-    window [-k*level, cap) (each other factor's floor lowers the product's
-    cap by level). Bad dim or level is reported before an empty window."""
+def _factor_window(k: int, dim: int, level: int, cap: int):
+    """The output window's floor -k*level, and the cap of k factors with
+    floor -level whose product has the output window [-k*level, cap) (each
+    other factor's floor lowers the product's cap by level). Bad dim or
+    level is reported before an empty window."""
     _check_shape(dim, level)
     require_window(-k * level, cap)
-    return cap + (k - 1) * level
+    return -k * level, cap + (k - 1) * level
 
 
 def relations(f: Poly, dim: int, level: int, cap: int):
@@ -111,17 +108,17 @@ def relations(f: Poly, dim: int, level: int, cap: int):
     constant f, [-level, cap)), every coefficient of which is exact; one
     Relation per window exponent is emitted, in increasing order.
     """
-    factor_cap = _factor_cap(max(1, f.total_degree()), dim, level, cap)
-    return _relations_of(compose(f, ev_series(dim, level, factor_cap)))
+    floor, factor_cap = _factor_window(max(1, f.total_degree()), dim, level, cap)
+    return _relations_of(compose(f, ev_series(dim, level, factor_cap)), floor, cap)
 
 
 def complement_relations(f: Poly, dim: int, level: int, cap: int):
     """Defining relations of the truncated loops into the complement of f=0:
     y(z) * f(x(z)) - 1 on the output window [-level*(deg f + 1), cap)."""
-    factor_cap = _factor_cap(f.total_degree() + 1, dim, level, cap)
+    floor, factor_cap = _factor_window(f.total_degree() + 1, dim, level, cap)
     fe = compose(f, ev_series(dim, level, factor_cap))
     y_series = TruncSeries.window(yvar, -level, factor_cap)
-    return _relations_of(y_series * fe - TruncSeries.constant(Poly.const(1)))
+    return _relations_of(y_series * fe - TruncSeries.constant(Poly.const(1)), floor, cap)
 
 
 def invert_series(s: TruncSeries, level: int) -> TruncSeries:

@@ -177,6 +177,7 @@ def convergence_experiment(
         return []
     # Each difference's first term past the band, z^(n+1), must be known.
     require_window(max(n_values) + 1, cap)
+    params = SemiNormParams(epsilon, norm_level)
     if f is None:
         if loop_level is None:
             loop_level = max(norm_level, abs(j))
@@ -189,7 +190,7 @@ def convergence_experiment(
     rows = []
     for n in n_values:
         diff = apply_nu_poly(make_projector(j, n), target) - ref_series
-        rows.append(_row(n, diff.z_order(is_zero), epsilon))
+        rows.append(_row(n, diff.z_order(is_zero), params.epsilon))
     return rows
 
 

@@ -60,18 +60,6 @@ def seminorm(series: TruncSeries, params: SemiNormParams) -> SemiNormValue:
     return value_from_order(seminorm_order(series, params.level), params.epsilon)
 
 
-def norm_leq(lhs: SemiNormValue, rhs: SemiNormValue) -> bool:
-    """Flag-aware <=: fails only on a certain violation.
-
-    A flagged value is an upper bound, so its true value lies in [0, value];
-    the inequality is certainly violated only when the least possible lhs
-    exceeds the greatest possible rhs. That greatest rhs is rhs.value
-    whether or not it is flagged, so rhs's flag is not read.
-    """
-    lhs_low = Fraction(0) if lhs.is_upper_bound else lhs.value
-    return lhs_low <= rhs.value
-
-
 def order_exponent(order) -> Optional[int]:
     """The exponent of eps an order gives: the order, or the cap bounding it."""
     if isinstance(order, AtLeastCap):
@@ -112,6 +100,14 @@ def _require_cases(cases, what):
         raise ValueError(f"a property suite needs at least one {what}")
 
 
+def _sorted_levels(levels):
+    """The levels in increasing order, refused when none or one below 0."""
+    _require_cases(levels, "level")
+    if min(levels) < 0:
+        raise ValueError("level must be >= 0")
+    return sorted(levels)
+
+
 def check_good(series: TruncSeries, levels, max_power: int) -> CheckReport:
     """Verify power-multiplicativity of the norms of `series`.
 
@@ -123,9 +119,8 @@ def check_good(series: TruncSeries, levels, max_power: int) -> CheckReport:
     """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
-    _require_cases(levels, "level")
     records = []
-    for level in sorted(levels):
+    for level in _sorted_levels(levels):
         base = seminorm_order(series, level)
         base_ok = not isinstance(base, AtLeastCap)
         for k in range(1, max_power + 1):
@@ -149,10 +144,10 @@ def check_isometry(pairs, levels) -> CheckReport:
     inclusion into the complement-side algebra (expected: equal, i.e. the
     inclusion is isometric with constants 1)."""
     _require_cases(pairs, "sample")
-    _require_cases(levels, "level")
+    levels = _sorted_levels(levels)
     records = []
     for sample, (element, image) in enumerate(pairs):
-        for level in sorted(levels):
+        for level in levels:
             lhs = seminorm_order(element, level)
             rhs = seminorm_order(image, level)
             records.append(
@@ -169,31 +164,37 @@ def check_isometry(pairs, levels) -> CheckReport:
     return CheckReport("isometry", all(r["pass"] for r in records), tuple(records))
 
 
-def check_ultrametric(pairs, levels, epsilon: Fraction) -> CheckReport:
-    """Ultrametric and sub-multiplicative inequalities on sampled pairs."""
+def _norm_at_most(order, exponent) -> bool:
+    """|u| <= eps^exponent, read as ord u >= exponent since eps < 1. An
+    AtLeastCap passes, as a bound or the exact zero; an exponent of None is
+    the norm 0, which no exact order reaches."""
+    return isinstance(order, AtLeastCap) or (exponent is not None and order >= exponent)
+
+
+def check_ultrametric(pairs, levels) -> CheckReport:
+    """Ultrametric and sub-multiplicative inequalities on sampled pairs,
+    decided on the orders of s, t, s+t and s*t at each level."""
     _require_cases(pairs, "sample")
-    _require_cases(levels, "level")
+    levels = _sorted_levels(levels)
     records = []
     for sample, (s, t) in enumerate(pairs):
         # Neither depends on the level; an empty product window raises here,
         # before any record of the pair, as it would at the first level.
         total, product = s + t, s * t
-        for level in sorted(levels):
-            params = SemiNormParams(epsilon, level)
-            ns = seminorm(s, params)
-            nt = seminorm(t, params)
-            n_sum = seminorm(total, params)
-            n_prod = seminorm(product, params)
-            ultra = norm_leq(n_sum, SemiNormValue(max(ns.value, nt.value)))
-            submult = norm_leq(n_prod, SemiNormValue(ns.value * nt.value))
+        for level in levels:
+            orders = [seminorm_order(u, level) for u in (s, t, total, product)]
+            es, et = order_exponent(orders[0]), order_exponent(orders[1])
+            # max(|s|, |t|) is eps^(the lesser exponent); the zero adds none.
+            ultra = min((e for e in (es, et) if e is not None), default=None)
+            submult = None if None in (es, et) else es + et
             records.append(
                 {
                     "sample": sample,
                     "level": level,
-                    "ultrametric_pass": ultra,
-                    "submultiplicative_pass": submult,
+                    "ultrametric_pass": _norm_at_most(orders[2], ultra),
+                    "submultiplicative_pass": _norm_at_most(orders[3], submult),
                     "upper_bound_involved": any(
-                        v.is_upper_bound for v in (ns, nt, n_sum, n_prod)
+                        isinstance(o, AtLeastCap) and o.cap is not None for o in orders
                     ),
                 }
             )

@@ -134,7 +134,7 @@ def test_criterion_7_ultrametric_and_submultiplicative():
         s = random_series(rng, dim=1, level=3, floor=-3, cap=4)
         t = random_series(rng, dim=1, level=3, floor=-3, cap=4)
         pairs.append((s, t))
-    result = check_ultrametric(pairs, range(4), EPS)
+    result = check_ultrametric(pairs, range(4))
     report(7, "ultrametric and sub-multiplicative", result.passed and len(pairs) == 200)
 
 

@@ -17,7 +17,7 @@ import hypothesis.strategies as strat
 
 from loopalg.errors import LoopAlgError, PrecisionExhaustedError
 from loopalg.exactpoly import parse_poly
-from loopalg.laurent import divide_exact
+from loopalg.laurent import TruncSeries, divide_exact
 from loopalg.localized import LocalizedElem, loc_seminorm, loc_to_model_with
 from loopalg.loopspace import (
     complement_relations,
@@ -33,7 +33,14 @@ from loopalg.projector import (
     convergence_experiment,
 )
 from loopalg.sampling import random_series
-from loopalg.seminorm import SemiNormParams, SemiNormValue, seminorm
+from loopalg.seminorm import (
+    SemiNormParams,
+    SemiNormValue,
+    check_good,
+    check_isometry,
+    check_ultrametric,
+    seminorm,
+)
 
 from .strategies import ambient_polys
 
@@ -198,6 +205,95 @@ def test_convergence_rows_refine(f, j, n_max, norm_level, loop_level, cap, step)
                         SemiNormValue(fine.distance, fine.upper_bound))
 
 
+# The property suites on a series and on its truncation to a lower cap: an
+# exact order a record reports at the lower cap is the one at the higher cap,
+# and a bound is at most the order found later (None, the exact zero's, lies
+# above every bound). A FAIL at the lower cap is a certain violation, so it
+# stays a FAIL.
+
+
+def _truncate(series, cap):
+    """The same series known only below `cap`."""
+    return TruncSeries({m: c for m, c in series.coeffs.items() if m < cap}, cap, series.floor)
+
+
+def _bound_refines(coarse, fine):
+    assert fine is None or coarse <= fine
+
+
+def _series_and_lower_cap():
+    """A composite, sampled or exact series and a cap in (floor, top], where
+    top is its cap, or one past its last coefficient when it is exact."""
+    composite = strat.builds(
+        lambda f, level, cap: compose(f, ev_series(2, level, cap)),
+        _hypersurfaces, _loop_levels, _caps,
+    )
+    sampled = strat.builds(
+        lambda seed, floor, width: random_series(random.Random(seed), 2, 2, floor,
+                                                 floor + width),
+        strat.integers(min_value=0, max_value=2**32),
+        strat.integers(min_value=-2, max_value=1),
+        strat.integers(min_value=1, max_value=5),
+    )
+    exact = sampled.map(lambda s: TruncSeries.exact(s.coeffs))
+
+    def with_cap(series):
+        top = series.cap if series.cap is not None else max(series.coeffs, default=0) + 1
+        return strat.tuples(
+            strat.just(series), strat.integers(min_value=series.floor + 1, max_value=top)
+        )
+
+    return strat.one_of(composite, sampled, exact).flatmap(with_cap)
+
+
+_suite_levels = strat.lists(strat.integers(min_value=0, max_value=2), min_size=1, max_size=3)
+
+
+@given(_series_and_lower_cap(), _suite_levels)
+def test_check_good_refines(series_and_cap, levels):
+    series, cap = series_and_cap
+    coarse = check_good(_truncate(series, cap), levels, 3)
+    fine = check_good(series, levels, 3)
+    for low, high in zip(coarse.records, fine.records, strict=True):
+        assert (low["level"], low["power"]) == (high["level"], high["power"])
+        if low["upper_bound_involved"]:
+            # The power-1 order is a bound, so every power's is.
+            assert not low["pass"] and low["rhs_exponent"] is None
+            _bound_refines(low["lhs_exponent"], high["lhs_exponent"])
+        else:
+            assert low == high
+
+
+@given(_series_and_lower_cap(), _series_and_lower_cap(), _suite_levels)
+def test_check_isometry_refines(first, second, levels):
+    (s, s_cap), (t, t_cap) = first, second
+    coarse = check_isometry([(_truncate(s, s_cap), _truncate(t, t_cap))], levels)
+    fine = check_isometry([(s, t)], levels)
+    for low, high in zip(coarse.records, fine.records, strict=True):
+        if low["upper_bound_involved"]:
+            # An exact side's exponent equals the later one, a bound's is below it.
+            _bound_refines(low["lhs_exponent"], high["lhs_exponent"])
+            _bound_refines(low["rhs_exponent"], high["rhs_exponent"])
+        else:
+            assert low == high
+
+
+@given(_series_and_lower_cap(), _series_and_lower_cap(), _suite_levels)
+def test_check_ultrametric_refines(first, second, levels):
+    (s, s_cap), (t, t_cap) = first, second
+    coarse = _attempt(
+        lambda: check_ultrametric([(_truncate(s, s_cap), _truncate(t, t_cap))], levels)
+    )
+    if coarse is None:
+        return
+    fine = check_ultrametric([(s, t)], levels)
+    for low, high in zip(coarse.records, fine.records, strict=True):
+        if not low["upper_bound_involved"]:
+            assert low == high
+        for verdict in ("ultrametric_pass", "submultiplicative_pass"):
+            assert low[verdict] or not high[verdict]
+
+
 # `required_cap` is exact: every cap at or below an empty window's floor
 # raises with floor + 1, and that cap gives a window of exactly one exponent.
 
@@ -225,10 +321,8 @@ def test_relations_required_cap_is_exact(dim_and_f, level, below, complement):
     floor = -k * level
     run = partial(build, f, dim, level)
     assert _required_cap(run, floor - below) == floor + 1
-    # A constant f (not on the complement side) is exact: its one relation
-    # is the constant itself, at z^0.
-    exponent = 0 if degree == 0 and not complement else floor
-    assert [r.exponent for r in run(floor + 1)] == [exponent]
+    # One relation per exponent of the output window, a constant f included.
+    assert [r.exponent for r in run(floor + 1)] == [floor]
 
 
 @given(strat.integers(min_value=1, max_value=2), _levels, _below)

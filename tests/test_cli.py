@@ -119,6 +119,18 @@ class TestConverge:
                            "--n-max", "9", "--N", "1", "--d", "1", "--cap", "6")
         assert code == 2 and "cap of at least 11" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--mode", "plain", "--N", "-1", "--d", "1"),
+        ("--mode", "complement", "--f", "x1", "--d", "1", "--j", "1", "--N", "-1",
+         "--loop-level", "1"),
+    ])
+    def test_negative_norm_level_is_input_error(self, capsys, argv):
+        # The message norm and approx give; an empty band window is still
+        # reported first, with exit 2.
+        assert run(capsys, "converge", *argv) == (1, "", "error: level must be >= 0\n")
+        code, _, err = run(capsys, "converge", *argv, "--cap", "1")
+        assert code == 2 and "cap of at least 7" in err
+
 
 class TestNormLevel:
     """--N is the one flag of the semi-norm level, a flag of converge and
@@ -241,6 +253,23 @@ class TestCheck:
         # The samples are drawn at the top level, which must be a level.
         assert run(capsys, "check", suite, "--d", "1", "--samples", "2",
                    "--levels", "-5") == (1, "", "error: truncation level must be >= 0\n")
+
+    @pytest.mark.parametrize("suite", ["good", "isometry", "ultrametric"])
+    def test_negative_level_below_the_top_is_input_error(self, capsys, suite):
+        # At seed 0 and cap 1 the first sample holds no coefficient, so no
+        # projection at level -1 would refuse it: the suite checks its levels.
+        assert run(capsys, "check", suite, "--f", "x1", "--d", "1", "--samples", "1",
+                   "--cap", "1", "--levels", "0,-1", "--seed", "0") == (
+            1, "", "error: level must be >= 0\n"
+        )
+
+    @pytest.mark.parametrize("suite", ["good", "isometry", "ultrametric"])
+    def test_epsilon_is_no_flag_of_check(self, capsys, suite):
+        # The suites compare orders, so eps cannot change a verdict.
+        assert run(capsys, "check", suite, "--f", "x1", "--d", "1", "--samples", "2",
+                   "--epsilon", "1/3") == (
+            1, "", "error: unrecognized arguments: --epsilon 1/3\n"
+        )
 
     def test_norm_without_levels_is_empty(self, capsys, tmp_path):
         config = tmp_path / "run.json"

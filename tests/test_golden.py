@@ -98,7 +98,7 @@ OPTIONS = {
     "converge": COMMON_OPTIONS | {"--f", "--epsilon", "--N", "--format", "--mode", "--j",
                                   "--n-max", "--loop-level"},
     "approx": COMMON_OPTIONS | {"--f", "--epsilon", "--N", "--j", "--band", "--loop-level"},
-    "check": COMMON_OPTIONS | {"--f", "--epsilon", "--levels", "--seed", "--samples"},
+    "check": COMMON_OPTIONS | {"--f", "--levels", "--seed", "--samples"},
 }
 
 

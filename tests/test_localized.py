@@ -18,7 +18,12 @@ from loopalg.localized import (
     model_zero_test,
 )
 from loopalg.loopspace import compose, ev_series, invert_series
-from loopalg.projector import NuPoly, apply_nu_poly_localized
+from loopalg.projector import (
+    NuPoly,
+    apply_nu_poly,
+    apply_nu_poly_localized,
+    make_projector,
+)
 from loopalg.seminorm import SemiNormParams, SemiNormValue, seminorm_order
 
 from .strategies import poly_series
@@ -377,9 +382,32 @@ class TestModelMapMatchesReference:
             assert loc_to_model_with(u, a) == _reference_model(u, a)
 
 
+def _to_sympy(sympy, poly):
+    """A Poly (or the int 0 of a known-zero coefficient) as a sympy expression."""
+    total = sympy.Integer(0)
+    for mono, coeff in (poly.terms.items() if poly else ()):
+        term = sympy.Rational(coeff.numerator, coeff.denominator)
+        for ref, exp in mono:
+            term *= sympy.Symbol(ref.render()) ** exp
+        total += term
+    return total
+
+
+def _sympy_composite(sympy, text, level, cap):
+    """z and f(x(z)) with each coordinate summed over the window [-level, cap)."""
+    z = sympy.Symbol("z")
+    coords = {
+        name: sum(sympy.Symbol(f"{name}_{j}") * z**j for j in range(-level, cap))
+        for name in ("x1", "x2")
+    }
+    return z, sympy.sympify(text.replace("^", "**"), locals=coords)
+
+
 class TestInverseAgainstSympy:
     """Each inverse coefficient num/L^pow is sympy's series coefficient of
-    1/f(x(z)), and num is reduced: L does not divide it when pow > 0."""
+    1/f(x(z)), and num is reduced: L does not divide it when pow > 0. The
+    composite f(x(z)) and the extractors' action on it are checked against
+    sympy's expansion and its z d/dz."""
 
     @pytest.mark.parametrize("text", ["x1", "x1 + x2", "x1*x2 + 1", "2*x1 + x2^2"])
     @pytest.mark.parametrize("level", [1, 2])
@@ -390,26 +418,12 @@ class TestInverseAgainstSympy:
 
         a = compose(parse_poly(text, 2), ev_series(2, level, cap))
         inverse = invert_series(a, level)
-        z = sympy.Symbol("z")
-        coords = {
-            name: sum(sympy.Symbol(f"{name}_{j}") * z**j for j in range(-level, cap))
-            for name in ("x1", "x2")
-        }
-        f_of_z = sympy.sympify(text.replace("^", "**"), locals=coords)
+        z, f_of_z = _sympy_composite(sympy, text, level, cap)
         m_low = min(a.coeffs)
         shifted = sympy.expand(f_of_z * z**-m_low)
         series = sympy.expand(sympy.series(1 / shifted, z, 0, inverse.cap + m_low).removeO())
         symbols = sorted(f_of_z.free_symbols - {z}, key=str)
         rational_functions, *_ = field(symbols, sympy.QQ)
-
-        def to_sympy(poly):
-            total = sympy.Integer(0)
-            for mono, coeff in poly.terms.items():
-                term = sympy.Rational(coeff.numerator, coeff.denominator)
-                for ref, exp in mono:
-                    term *= sympy.Symbol(ref.render()) ** exp
-                total += term
-            return total
 
         assert (inverse.floor, inverse.cap) == (-m_low, a.cap - 2 * m_low)
         for e in range(inverse.floor, inverse.cap):
@@ -418,11 +432,56 @@ class TestInverseAgainstSympy:
             if not c:
                 assert want == 0
                 continue
-            base = rational_functions.from_expr(to_sympy(c.base))
-            got = rational_functions.from_expr(to_sympy(c.num)) / base ** c.pow
+            base = rational_functions.from_expr(_to_sympy(sympy, c.base))
+            got = rational_functions.from_expr(_to_sympy(sympy, c.num)) / base ** c.pow
             assert got == want
             if c.pow > 0:
                 assert div_exact(c.num, c.base) is None
+
+    @pytest.mark.parametrize(
+        "text", ["x1", "x1*x2 + 1", "2*x1 + x2^2", "3*x1^2*x2 - x2 + 5", "7"]
+    )
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_compose_coefficients(self, text, level, cap):
+        # The window is [-level*deg f, cap - (deg f - 1)*level), and within it
+        # no coordinate coefficient at or past the cap can reach a product.
+        sympy = pytest.importorskip("sympy")
+        f = parse_poly(text, 2)
+        degree = f.total_degree()
+        a = compose(f, ev_series(2, level, cap))
+        z, f_of_z = _sympy_composite(sympy, text, level, cap)
+        expanded = sympy.expand(f_of_z)
+        if degree:
+            assert (a.floor, a.cap) == (-level * degree, cap - (degree - 1) * level)
+            exponents = range(a.floor, a.cap)
+        else:
+            assert a.cap is None
+            exponents = [0]
+        for e in exponents:
+            got = _to_sympy(sympy, a.coefficient(e))
+            assert sympy.expand(got - expanded.coeff(z, e)) == 0
+
+    @pytest.mark.parametrize("text", ["x1", "x1*x2 + 1", "2*x1 + x2^2"])
+    @pytest.mark.parametrize("j, n", [(0, 0), (1, 1), (-1, 2), (2, 1), (4, 2)])
+    def test_apply_nu_poly_coefficients(self, text, j, n):
+        # The extractor is the product over i in [-n, n], i != j, of
+        # (nu - i)/(j - i) with nu = z d/dz; sympy applies each factor in turn.
+        sympy = pytest.importorskip("sympy")
+        level, cap = 1, 4
+        a = compose(parse_poly(text, 2), ev_series(2, level, cap))
+        image = apply_nu_poly(make_projector(j, n), a)
+        # nu acts diagonally, so the terms of f(x(z)) past the window, which
+        # the truncated coordinates get wrong, stay past it.
+        z, f_of_z = _sympy_composite(sympy, text, level, cap)
+        want = sympy.expand(f_of_z)
+        for i in range(-n, n + 1):
+            if i != j:
+                want = sympy.expand((z * sympy.diff(want, z) - i * want) / (j - i))
+        assert (image.floor, image.cap) == (a.floor, a.cap)
+        for e in range(a.floor, a.cap):
+            got = _to_sympy(sympy, image.coefficient(e))
+            assert sympy.expand(got - want.coeff(z, e)) == 0
 
 
 class TestMultiplicativity:

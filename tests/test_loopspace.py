@@ -197,6 +197,19 @@ class TestRelations:
             (0, x(1, -1) * x(2, 1) + x(1, 0) * x(2, 0) + x(1, 1) * x(2, -1) - const(1)),
         ]
 
+    def test_constant_emits_its_whole_window(self):
+        # The window of a constant f is [-level, cap): the constant at z^0 and
+        # a zero relation at every other exponent, none past the cap.
+        assert [(r.exponent, r.generator) for r in relations(const(3), 1, 1, 3)] == [
+            (-1, Poly.zero()),
+            (0, const(3)),
+            (1, Poly.zero()),
+            (2, Poly.zero()),
+        ]
+        assert [(r.exponent, r.generator) for r in relations(const(3), 1, 1, 0)] == [
+            (-1, Poly.zero()),
+        ]
+
     def test_window_growth_appends(self):
         f = parse_poly("x1^2", 1)
         small = relations(f, 1, 1, 2)

@@ -18,7 +18,7 @@ from loopalg.seminorm import (
     check_good,
     check_isometry,
     check_ultrametric,
-    norm_leq,
+    order_exponent,
     seminorm,
     seminorm_order,
 )
@@ -214,53 +214,132 @@ class TestCheckIsometry:
 
 
 class TestUltrametricProperties:
+    # |u| <= |v| is ord u >= ord v, as eps < 1; a left side that is only a
+    # bound may have any order above its cap, so it never contradicts.
+
     @given(poly_series(), poly_series(), strat.integers(min_value=0, max_value=3))
     def test_ultrametric_inequality(self, s, t, level):
-        p = params(level)
-        lhs = seminorm(s + t, p)
-        ns, nt = seminorm(s, p), seminorm(t, p)
-        rhs = SemiNormValue(max(ns.value, nt.value),
-                            ns.is_upper_bound or nt.is_upper_bound)
-        assert norm_leq(lhs, rhs)
+        lhs = seminorm_order(s + t, level)
+        if not isinstance(lhs, AtLeastCap):
+            assert lhs >= min(order_exponent(seminorm_order(u, level)) for u in (s, t))
 
     @given(poly_series(), poly_series(), strat.integers(min_value=0, max_value=3))
     def test_submultiplicative(self, s, t, level):
-        p = params(level)
         try:
-            lhs = seminorm(s * t, p)
+            lhs = seminorm_order(s * t, level)
         except PrecisionExhaustedError:
             return
-        ns, nt = seminorm(s, p), seminorm(t, p)
-        rhs = SemiNormValue(ns.value * nt.value,
-                            ns.is_upper_bound or nt.is_upper_bound)
-        assert norm_leq(lhs, rhs)
+        if not isinstance(lhs, AtLeastCap):
+            assert lhs >= sum(order_exponent(seminorm_order(u, level)) for u in (s, t))
 
     def test_check_ultrametric_report(self):
         s = TruncSeries({0: xvar(1, 0)}, cap=3, floor=0)
         t = TruncSeries({1: xvar(1, 1)}, cap=3, floor=0)
-        report = check_ultrametric([(s, t)], [0, 1], EPS)
+        report = check_ultrametric([(s, t)], [0, 1])
         assert report.passed and isinstance(report, CheckReport)
 
-    @pytest.mark.parametrize("failing, rhs_value", [
-        ("ultrametric_pass", Fraction(1, 2)),  # max(|s|, |t|)
-        ("submultiplicative_pass", Fraction(1, 4)),  # |s| * |t|
+    @pytest.mark.parametrize("failing, rhs_exponent", [
+        ("ultrametric_pass", 1),  # max(|s|, |t|) = eps^min(1, 1)
+        ("submultiplicative_pass", 2),  # |s| * |t| = eps^(1 + 1)
     ])
-    def test_verdict_reads_both_inequalities(self, monkeypatch, failing, rhs_value):
-        # |s| = |t| = 1/2 at every level, so the two right-hand sides differ;
-        # norm_leq is made to fail on one of them only.
+    def test_verdict_reads_both_inequalities(self, monkeypatch, failing, rhs_exponent):
+        # ord s = ord t = 1 at every level, so the two right-hand sides differ;
+        # _norm_at_most is made to fail on one of them only.
         s = TruncSeries({1: xvar(1, 0)}, cap=3, floor=0)
-        monkeypatch.setattr(seminorm_module, "norm_leq",
-                            lambda lhs, rhs: rhs.value != rhs_value)
-        report = check_ultrametric([(s, s)], [0, 1], EPS)
+        monkeypatch.setattr(seminorm_module, "_norm_at_most",
+                            lambda order, exponent: exponent != rhs_exponent)
+        report = check_ultrametric([(s, s)], [0, 1])
         assert [r[failing] for r in report.records] == [False, False]
         assert not report.passed
 
     def test_check_ultrametric_needs_a_sample_and_a_level(self):
         s = TruncSeries({0: xvar(1, 0)}, cap=3, floor=0)
         with pytest.raises(ValueError, match="at least one sample"):
-            check_ultrametric([], [0, 1], EPS)
+            check_ultrametric([], [0, 1])
         with pytest.raises(ValueError, match="at least one level"):
-            check_ultrametric([(s, s)], [], EPS)
+            check_ultrametric([(s, s)], [])
+
+
+def test_suites_refuse_a_negative_level():
+    # A level below 0 is refused before any order is read, also when no
+    # coefficient is left to project.
+    for s in (TruncSeries({0: xvar(1, 0)}, cap=3, floor=0), TruncSeries({}, cap=3, floor=0)):
+        with pytest.raises(ValueError, match="^level must be >= 0$"):
+            check_good(s, [0, -1], 3)
+        for suite in (check_isometry, check_ultrametric):
+            with pytest.raises(ValueError, match="^level must be >= 0$"):
+                suite([(s, s)], [0, -1])
+
+
+def _reference_check_ultrametric(pairs, levels, epsilon):
+    """`check_ultrametric` as it was before it read orders: it turned each
+    order into an eps-power and compared the values, a bound on the left
+    counting as 0 and the right side's flag unread."""
+
+    def norm_leq(lhs, rhs):
+        lhs_low = Fraction(0) if lhs.is_upper_bound else lhs.value
+        return lhs_low <= rhs.value
+
+    records = []
+    for sample, (s, t) in enumerate(pairs):
+        total, product = s + t, s * t
+        for level in sorted(levels):
+            p = SemiNormParams(epsilon, level)
+            ns, nt, n_sum, n_prod = (seminorm(u, p) for u in (s, t, total, product))
+            records.append(
+                {
+                    "sample": sample,
+                    "level": level,
+                    "ultrametric_pass": norm_leq(
+                        n_sum, SemiNormValue(max(ns.value, nt.value))
+                    ),
+                    "submultiplicative_pass": norm_leq(
+                        n_prod, SemiNormValue(ns.value * nt.value)
+                    ),
+                    "upper_bound_involved": any(
+                        v.is_upper_bound for v in (ns, nt, n_sum, n_prod)
+                    ),
+                }
+            )
+    passed = all(r["ultrametric_pass"] and r["submultiplicative_pass"] for r in records)
+    return passed, tuple(records)
+
+
+def _ultrametric_inputs():
+    """Series whose orders are exact, bounds, or the exact zero: truncated
+    and exact series, ones dead below level 3, and zero."""
+    exact = poly_series(level=3).map(lambda s: TruncSeries.exact(s.coeffs))
+    # Every coefficient a multiple of x1_-3: nothing survives below level 3.
+    dead = strat.builds(
+        lambda s, is_exact: TruncSeries(
+            {m: c * xvar(1, -3) for m, c in s.coeffs.items()},
+            None if is_exact else s.cap,
+            s.floor,
+        ),
+        poly_series(level=3),
+        strat.booleans(),
+    )
+    return strat.one_of(poly_series(level=3), exact, dead, strat.just(TruncSeries.zero()))
+
+
+class TestCheckUltrametricMatchesReference:
+    @settings(max_examples=300)
+    @given(
+        strat.lists(strat.tuples(_ultrametric_inputs(), _ultrametric_inputs()),
+                    min_size=1, max_size=3),
+        strat.lists(strat.integers(min_value=0, max_value=3), min_size=1, max_size=4),
+        strat.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
+                            Fraction(99, 100), Fraction(1, 1000)]),
+    )
+    def test_same_verdict_and_records(self, pairs, levels, epsilon):
+        try:
+            expected = _reference_check_ultrametric(pairs, levels, epsilon)
+        except PrecisionExhaustedError:
+            with pytest.raises(PrecisionExhaustedError):
+                check_ultrametric(pairs, levels)
+            return
+        report = check_ultrametric(pairs, levels)
+        assert (report.passed, report.records) == expected
 
 
 class TestTopologyWitness:
@@ -294,12 +373,13 @@ class TestHomogeneityOnGoodElements:
         assert lhs == k * seminorm_order(s, level) + order_t
 
 
-def test_norm_leq_flags():
-    exact_half = SemiNormValue(Fraction(1, 2), False)
-    bound_one = SemiNormValue(Fraction(1), True)
-    assert norm_leq(exact_half, bound_one)
-    assert norm_leq(bound_one, exact_half)  # bound could be anything below 1
-    assert not norm_leq(SemiNormValue(Fraction(2), False), exact_half)
+def test_norm_at_most_reads_orders():
+    norm_at_most = seminorm_module._norm_at_most
+    assert norm_at_most(1, 0)  # eps^1 <= eps^0
+    assert norm_at_most(AtLeastCap(0), 1)  # a bound could be any order from 0 up
+    assert not norm_at_most(-1, 1)  # eps^-1 > eps^1
+    assert norm_at_most(AtLeastCap(None), None)  # 0 <= 0
+    assert not norm_at_most(5, None)  # eps^5 > 0
 
 
 def test_random_series_rejects_a_negative_level():
