@@ -85,6 +85,34 @@ GOLDEN = [
     (("approx", "--f", "2*x1+x2^2", "--d", "2", "--j", "2", "--band", "3", "--N", "2",
       "--cap", "6"),
      0, "db4815d9e27dfda57e5a0d87ce7ca916dccf60e882739add333ce9c177e5679b"),
+    # Recorded while eps still travelled through the library as a value: the
+    # commands that print eps^order, at bases other than the default 1/2. The
+    # norm's level-0 row is an upper bound, 0,3/2,true; the last approx's
+    # distance is the exact zero, "0".
+    (("norm", "--f", "x1^2+x2", "--d", "2", "--n", "3", "--cap", "2", "--levels", "0,1,2,3",
+      "--epsilon", "2/3", "--format", "csv"),
+     0, "bf19acb3c8ab123dd870dc565bac89ea174b537937b664e6daf5c8b5a7f98c0a"),
+    (("norm", "--f", "x1^2+x2", "--d", "2", "--n", "3", "--cap", "2", "--levels", "0,1,2,3",
+      "--epsilon", "2/3", "--format", "json"),
+     0, "b23252a7c6c3ee1ee214017766f1c617c095e095fa944e542818bf61cd3c5ef7"),
+    (("converge", "--mode", "plain", "--j", "1", "--n-max", "4", "--N", "1", "--d", "1",
+      "--cap", "7", "--epsilon", "3/7"),
+     0, "450ccb674c4faf9634ef2754324bdce269772f83116354780ed8bd3b859ae238"),
+    (("converge", "--mode", "plain", "--j", "1", "--n-max", "4", "--N", "1", "--d", "1",
+      "--cap", "7", "--epsilon", "1/3", "--format", "json"),
+     0, "f6f12059fe7690a8f9175bca1c080fec2d41559bf7ca5ae5cb160f8d9e8ac389"),
+    (("converge", "--mode", "complement", "--f", "x1^2-x1", "--d", "1", "--j", "2",
+      "--n-max", "4", "--N", "1", "--cap", "8", "--epsilon", "3/7"),
+     0, "6c6a21513fc9302d5bd1b1e8ed757887090c1a51b10d04799752e2b10f83cbab"),
+    (("converge", "--mode", "complement", "--f", "x1+x2", "--d", "2", "--j", "1",
+      "--n-max", "3", "--N", "1", "--cap", "5", "--epsilon", "1/3", "--format", "json"),
+     0, "c44ee47cb2ec15ccf18666997e4f40273b88519f11ebdbe85bb248b95f80bf75"),
+    (("approx", "--f", "x1^2+x1", "--d", "1", "--j", "2", "--band", "3", "--N", "1",
+      "--cap", "8", "--epsilon", "1/3"),
+     0, "3e78e964a053f8a94f063cc4f189edfb6383729f2c7a54934e49cdf567469af8"),
+    (("approx", "--f", "2", "--d", "1", "--j", "0", "--band", "2", "--cap", "4",
+      "--epsilon", "2/3"),
+     0, "b73b3d968663d2b7b9c1d47ca3a9d4a74edaebe7f6a9c304f6159ca81b4d3316"),
 ]
 
 # The option strings of each subcommand's --help: -h, --config, the flags of
