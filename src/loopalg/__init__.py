@@ -19,7 +19,6 @@ from .exactpoly import AMBIENT, Poly, VarRef, const, parse_poly, xvar, yvar
 from .laurent import AtLeastCap, TruncSeries
 from .localized import LocalizedCoef, LocalizedElem
 from .projector import NuPoly, make_projector
-from .seminorm import SemiNormParams, SemiNormValue
 
 __all__ = [
     "AMBIENT",
@@ -34,8 +33,6 @@ __all__ = [
     "Poly",
     "PolyParseError",
     "PrecisionExhaustedError",
-    "SemiNormParams",
-    "SemiNormValue",
     "TruncSeries",
     "UnknownVariableError",
     "VarRef",

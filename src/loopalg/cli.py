@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import loopspace, projector, sampling, seminorm
 from .errors import LoopAlgError, PrecisionExhaustedError, ZeroPolynomialError
 from .exactpoly import parse_poly
-from .seminorm import SemiNormParams
+from .laurent import AtLeastCap
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -237,6 +237,16 @@ def _emit_table(cfg, records, header, default_format):
     _emit(cfg, buffer.getvalue())
 
 
+def value_from_order(order, epsilon: Fraction):
+    """The semi-norm value eps^order as exact rational text, and whether it is
+    only an upper bound. This is where eps meets the library's orders: an
+    AtLeastCap with a cap bounds the value by eps^cap; the exact zero is 0."""
+    exponent = seminorm.order_exponent(order)
+    if exponent is None:
+        return "0", False
+    return str(epsilon ** exponent), isinstance(order, AtLeastCap)
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -273,10 +283,9 @@ def cmd_norm(cfg, args) -> int:
     composite = loopspace.compose(f, loopspace.ev_series(cfg["d"], cfg["n"], cfg["cap"]))
     records = []
     for level in cfg["levels"]:
-        value = seminorm.seminorm(composite, SemiNormParams(cfg["epsilon"], level))
-        records.append(
-            {"level": level, "value": str(value.value), "upper_bound": value.is_upper_bound}
-        )
+        order = seminorm.seminorm_order(composite, level)
+        value, bound = value_from_order(order, cfg["epsilon"])
+        records.append({"level": level, "value": value, "upper_bound": bound})
     _emit_table(cfg, records, ["level", "value", "upper_bound"], "json")
     return EXIT_OK
 
@@ -284,18 +293,16 @@ def cmd_norm(cfg, args) -> int:
 def cmd_converge(cfg, args) -> int:
     f = _require_f(cfg) if args.mode == "complement" else None
     rows = projector.convergence_experiment(
-        cfg["d"], f, args.j, range(1, args.n_max + 1), cfg["level"], cfg["epsilon"],
-        cfg["cap"], args.loop_level,
+        cfg["d"], f, args.j, range(1, args.n_max + 1), cfg["level"], cfg["cap"],
+        args.loop_level,
     )
-    records = [
-        {
-            "n": r.n,
-            "ord_exponent": r.ord_exponent,
-            "distance": str(r.distance),
-            "upper_bound": r.upper_bound,
-        }
-        for r in rows
-    ]
+    records = []
+    for n, order in rows:
+        distance, bound = value_from_order(order, cfg["epsilon"])
+        records.append(
+            {"n": n, "ord_exponent": seminorm.order_exponent(order), "distance": distance,
+             "upper_bound": bound}
+        )
     header = ["n", "ord_exponent", "distance_as_rational", "upper_bound_flag"]
     _emit_table(cfg, records, header, "csv")
     return EXIT_OK
@@ -304,14 +311,14 @@ def cmd_converge(cfg, args) -> int:
 def cmd_approx(cfg, args) -> int:
     f = _require_f(cfg)
     result = projector.approximate_coefficient(
-        f, cfg["d"], args.j, args.band, cfg["level"], cfg["epsilon"], cfg["cap"],
-        args.loop_level,
+        f, cfg["d"], args.j, args.band, cfg["level"], cfg["cap"], args.loop_level
     )
+    distance, bound = value_from_order(result.order, cfg["epsilon"])
     payload = {
         "element": str(result.element),
         "denominator_power": result.element.pow,
-        "distance": str(result.distance.value),
-        "distance_is_upper_bound": result.distance.is_upper_bound,
+        "distance": distance,
+        "distance_is_upper_bound": bound,
         "model_commutes": result.commutes,
     }
     _emit(cfg, _json_text(payload))

@@ -33,7 +33,7 @@ from .errors import (
     PrecisionExhaustedError,
 )
 from .laurent import AtLeastCap, TruncSeries
-from .seminorm import SemiNormParams, SemiNormValue, seminorm_order, value_from_order
+from .seminorm import projection_zero_test, seminorm_order
 
 
 def _cancel(num, power, base, divide):
@@ -168,17 +168,19 @@ class LocalizedElem:
         return f"LocalizedElem({self})"
 
 
-def loc_seminorm(u: LocalizedElem, a: TruncSeries, params: SemiNormParams) -> SemiNormValue:
-    """|num| * |a|^(-pow), defined only where |a| is nonzero and exact."""
-    a_order = seminorm_order(a, params.level)
+def loc_seminorm(u: LocalizedElem, a: TruncSeries, level: int):
+    """Order of num/a^pow at the level, ord num - pow * ord a, defined only
+    where the order of a is exact. An exact order stays exact, a bound stays
+    a bound, and the exact zero stays AtLeastCap(None)."""
+    a_order = seminorm_order(a, level)
     if isinstance(a_order, AtLeastCap):
         raise GoodElementViolationError(
-            f"denominator semi-norm at level {params.level} is zero or only bounded"
+            f"denominator semi-norm at level {level} is zero or only bounded"
         )
-    # eps^x / eps^y = eps^(x-y): an exact value stays exact, a bound a bound.
-    num = value_from_order(seminorm_order(u.num, params.level), params.epsilon)
-    den = params.epsilon ** (u.pow * a_order)
-    return SemiNormValue(num.value / den, num.is_upper_bound)
+    order, shift = seminorm_order(u.num, level), u.pow * a_order
+    if not isinstance(order, AtLeastCap):
+        return order - shift
+    return order if order.cap is None else AtLeastCap(order.cap - shift)
 
 
 # -- the comparison map into the localized coefficient model -------------------
@@ -244,16 +246,14 @@ def model_zero_test(level: int, base: Poly):
     The level must keep the base alive: the projection of num/base^pow makes
     sense only in the localisation of the level's discrete algebra.
     """
-    if not base.project(level):
+    is_zero = projection_zero_test(level)
+    if is_zero(base):
         raise GoodElementViolationError(
             f"localisation base dies at projection level {level}"
         )
-    return lambda coeff: not coeff.num.project(level)
+    return lambda coeff: is_zero(coeff.num)
 
 
-def model_seminorm(
-    series: TruncSeries, params: SemiNormParams, base: Poly
-) -> SemiNormValue:
-    """Semi-norm of a localized-model series at the given level."""
-    order = series.z_order(model_zero_test(params.level, base))
-    return value_from_order(order, params.epsilon)
+def model_seminorm(series: TruncSeries, level: int, base: Poly):
+    """Order of a localized-model series at the given level."""
+    return series.z_order(model_zero_test(level, base))

@@ -12,10 +12,10 @@ series recursively, which is what the localized coefficient model runs on.
 from functools import partial
 from typing import NamedTuple
 
-from .errors import NonInvertibleLeadingTermError, PrecisionExhaustedError
+from .errors import NonInvertibleLeadingTermError
 from .exactpoly import Poly, xvar, yvar
 from .laurent import TruncSeries, require_window
-from .localized import LocalizedCoef, LocalizedElem, loc_to_model_with
+from .localized import LocalizedElem, loc_to_model_with
 
 
 def _check_shape(dim: int, level: int) -> None:
@@ -133,35 +133,3 @@ def invert_series(s: TruncSeries, level: int) -> TruncSeries:
             f"leading coefficient dies at projection level {level}"
         )
     return loc_to_model_with(LocalizedElem(TruncSeries.constant(Poly.const(1)), 1), s)
-
-
-def substitute_y(generator: Poly, inverse: TruncSeries, base: Poly) -> LocalizedCoef:
-    """Evaluate a complement-side generator with y_j := coefficient j of
-    `inverse`, leaving the x-variables untouched.
-
-    Unknown coefficients (beyond the inverse's cap) raise rather than
-    silently substituting zero.
-    """
-    total = LocalizedCoef(Poly.zero(), 0, base)
-    for mono, coeff in generator.terms.items():
-        x_part = tuple(
-            (ref, exp) for ref, exp in mono if ref.family == "x"
-        )
-        factor = LocalizedCoef(Poly({x_part: coeff}), 0, base)
-        dead = False
-        for ref, exp in mono:
-            if ref.family != "y":
-                continue
-            value = inverse.coefficient(ref.index)
-            if value is None:
-                raise PrecisionExhaustedError(
-                    f"inverse coefficient at z^{ref.index} is beyond the cap",
-                    required_cap=ref.index + 1,
-                )
-            if not value:
-                dead = True
-                break
-            factor = factor * value ** exp
-        if not dead:
-            total = total + factor
-    return total

@@ -5,26 +5,21 @@ p(nu) acts on a series by multiplying the z^m coefficient by p(m). The
 coefficient extractor for slot j at band width n is the normalized product
 of (nu - i) over i in [-n, n] except j; it fixes z^j, kills every other
 z-power in the band, and converges to "take the z^j term" as n grows. The
-experiments below measure that convergence distance exactly, both on the
-plain coordinate series and on inverted series in the localisation.
+experiments below measure that convergence as the exact z-adic order of the
+distance, both on the plain coordinate series and on inverted series in the
+localisation.
 """
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from .errors import PrecisionExhaustedError
 from .exactpoly import Poly
-from .laurent import TruncSeries, require_window
+from .laurent import AtLeastCap, TruncSeries, require_window
 from .localized import LocalizedElem, loc_to_model_with, model_seminorm, model_zero_test
 from .loopspace import compose, ev_series, invert_series
-from .seminorm import (
-    SemiNormParams,
-    SemiNormValue,
-    order_exponent,
-    projection_zero_test,
-    value_from_order,
-)
+from .seminorm import projection_zero_test
 
 
 class NuPoly:
@@ -122,21 +117,21 @@ def apply_nu_poly_localized(
 
 class ConvergenceRow(NamedTuple):
     n: int
-    ord_exponent: Optional[int]
-    distance: Fraction
-    upper_bound: bool
-
-
-def _row(n, order, epsilon) -> ConvergenceRow:
-    value = value_from_order(order, epsilon)
-    return ConvergenceRow(n, order_exponent(order), value.value, value.is_upper_bound)
+    order: Union[int, AtLeastCap]
 
 
 def _complement_setup(f, dim, j, norm_level, cap, loop_level):
-    """The evaluated series a = f(x(z)) at the loop level, and its inverse."""
+    """The evaluated series a = f(x(z)) at the loop level, and its inverse.
+
+    A negative norm level is refused first, before a loop level is derived
+    from it; a negative loop level given outright names the loop level.
+    """
+    projection_zero_test(norm_level)
     degree = f.total_degree()
     if loop_level is None:
         loop_level = min(norm_level, j // degree) if degree else norm_level
+    elif loop_level < 0:
+        raise ValueError("truncation level must be >= 0")
     if loop_level < 0 or degree * loop_level > j:
         raise ValueError(
             f"slot {j} lies below the inverse support at loop level {loop_level}"
@@ -161,28 +156,27 @@ def convergence_experiment(
     j: int,
     n_values,
     norm_level: int,
-    epsilon: Fraction,
     cap: int,
     loop_level: Optional[int] = None,
 ):
-    """Distance table for the coefficient extractors.
+    """Distance table for the coefficient extractors, one row per band width.
 
     Plain case (f None): the target is the first coordinate series and the
     reference term is x1_j z^j. Complement case: the target is the inverse
-    of f(x(z)) and the reference term is its z^j coefficient. Distances are
-    exact rationals, computed at the given semi-norm level.
+    of f(x(z)) and the reference term is its z^j coefficient. Each row holds
+    the z-adic order of the extractor's distance from the reference term at
+    the given semi-norm level: an int, or an AtLeastCap.
     """
     n_values = sorted(n_values)
     if not n_values:
         return []
     # Each difference's first term past the band, z^(n+1), must be known.
     require_window(max(n_values) + 1, cap)
-    params = SemiNormParams(epsilon, norm_level)
     if f is None:
+        is_zero, name = projection_zero_test(norm_level), "target"
         if loop_level is None:
             loop_level = max(norm_level, abs(j))
         target = ev_series(dim, loop_level, cap)[0]
-        is_zero, name = projection_zero_test(norm_level), "target"
     else:
         a, target = _complement_setup(f, dim, j, norm_level, cap, loop_level)
         is_zero, name = model_zero_test(norm_level, a.coeffs[min(a.coeffs)]), "inverse"
@@ -190,13 +184,13 @@ def convergence_experiment(
     rows = []
     for n in n_values:
         diff = apply_nu_poly(make_projector(j, n), target) - ref_series
-        rows.append(_row(n, diff.z_order(is_zero), params.epsilon))
+        rows.append(ConvergenceRow(n, diff.z_order(is_zero)))
     return rows
 
 
 class ApproxResult(NamedTuple):
     element: LocalizedElem
-    distance: SemiNormValue
+    order: Union[int, AtLeastCap]
     model: TruncSeries
     commutes: bool
 
@@ -207,16 +201,15 @@ def approximate_coefficient(
     j: int,
     n: int,
     norm_level: int,
-    epsilon: Fraction,
     cap: int,
     loop_level: Optional[int] = None,
 ) -> ApproxResult:
     """Apply the slot-j extractor to 1/f(x(z)) inside the localisation.
 
     Returns the localized element itself (denominator an explicit power of
-    the evaluated series), its distance at the given level from the single
-    reference term of the inverse series, and whether mapping to the model
-    commutes with the diagonal action (it must).
+    the evaluated series), the z-adic order at the given level of its
+    distance from the single reference term of the inverse series, and
+    whether mapping to the model commutes with the diagonal action (it must).
     """
     a, inverse = _complement_setup(f, dim, j, norm_level, cap, loop_level)
     u = LocalizedElem.reduced(TruncSeries.constant(Poly.const(1)), 1, a)
@@ -225,7 +218,5 @@ def approximate_coefficient(
     # The inverse is the model image of u = 1/a.
     commutes = model.agrees_with(apply_nu_poly(make_projector(j, n), inverse))
     diff = model - _reference_term(inverse, j, "inverse")
-    distance = model_seminorm(
-        diff, SemiNormParams(epsilon, norm_level), a.coeffs[min(a.coeffs)]
-    )
-    return ApproxResult(element, distance, model, commutes)
+    order = model_seminorm(diff, norm_level, a.coeffs[min(a.coeffs)])
+    return ApproxResult(element, order, model, commutes)

@@ -1,63 +1,30 @@
 """The countable family of non-Archimedean semi-norms on truncated series.
 
 At truncation level n the norm of a series is eps^(z-adic order of its image
-under the level-n projection), for a fixed rational 0 < eps < 1.  Values are
-kept as exact rationals throughout; a value derived from a fully-killed
-finite window is only an upper bound and carries a flag saying so.
+under the level-n projection), for a fixed rational 0 < eps < 1. Every
+inequality between these norms is one between orders, so the library works
+with orders alone: an int, or an AtLeastCap when no known coefficient
+survives (a bound) or the image is exactly zero. eps enters only where the
+CLI prints an order as a value.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .laurent import AtLeastCap, TruncSeries
 
 
-@dataclass(frozen=True)
-class SemiNormParams:
-    """One member of the semi-norm family: the base eps and the level."""
-
-    epsilon: Fraction
-    level: int
-
-    def __post_init__(self):
-        eps = Fraction(self.epsilon)
-        if not 0 < eps < 1:
-            raise ValueError("epsilon must satisfy 0 < epsilon < 1")
-        if self.level < 0:
-            raise ValueError("level must be >= 0")
-        object.__setattr__(self, "epsilon", eps)
-
-
-@dataclass(frozen=True)
-class SemiNormValue:
-    """An exact rational power of eps (or 0), possibly only an upper bound."""
-
-    value: Fraction
-    is_upper_bound: bool = False
-
-
 def projection_zero_test(level: int):
-    """Zero test for Poly coefficients inside the level-n discrete algebra."""
+    """Zero test for Poly coefficients inside the level-n discrete algebra;
+    a negative level is refused here, before any coefficient is tested."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
     return lambda coeff: not coeff.project(level)
 
 
 def seminorm_order(series: TruncSeries, level: int):
     """z-adic order of the level-n projection: an int or AtLeastCap."""
     return series.z_order(projection_zero_test(level))
-
-
-def value_from_order(order, epsilon: Fraction) -> SemiNormValue:
-    if isinstance(order, AtLeastCap):
-        if order.cap is None:
-            return SemiNormValue(Fraction(0), False)
-        return SemiNormValue(epsilon ** order.cap, True)
-    return SemiNormValue(epsilon ** order, False)
-
-
-def seminorm(series: TruncSeries, params: SemiNormParams) -> SemiNormValue:
-    """eps^(order at the given level); exact zero image gives value 0."""
-    return value_from_order(seminorm_order(series, params.level), params.epsilon)
 
 
 def order_exponent(order) -> Optional[int]:

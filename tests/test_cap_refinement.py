@@ -34,23 +34,25 @@ from loopalg.projector import (
 )
 from loopalg.sampling import random_series
 from loopalg.seminorm import (
-    SemiNormParams,
-    SemiNormValue,
     check_good,
     check_isometry,
     check_ultrametric,
-    seminorm,
+    seminorm_order,
 )
 
+from .helpers import value
 from .strategies import ambient_polys
 
 _HYPERSURFACES = ("x1", "x1 + x2", "x1^2 + x1", "x1*x2 + 1", "2*x1 + x2^2", "x1^3 + x2^2")
 
 
 def _refines(coarse, fine):
-    """A SemiNormValue at the lower cap against the one at the higher cap."""
-    if coarse.is_upper_bound:
-        return coarse.value >= fine.value
+    """An order at the lower cap against the one at the higher cap, compared
+    as the values eps^order the CLI prints at eps 1/2: a bound is at least
+    the value found later, and an exact value is that value."""
+    coarse, fine = value(coarse), value(fine)
+    if coarse[1]:
+        return coarse[0] >= fine[0]
     return fine == coarse
 
 
@@ -91,7 +93,6 @@ def _composites(f, g, loop_level, cap):
     strat.integers(min_value=0, max_value=3),
 )
 def test_higher_cap_refines(f, g, loop_level, norm_level, cap, step, power):
-    params = SemiNormParams(Fraction(1, 2), norm_level)
     (a, num), (a_fine, num_fine) = (
         _composites(f, g, loop_level, c) for c in (cap, cap + step)
     )
@@ -101,12 +102,12 @@ def test_higher_cap_refines(f, g, loop_level, norm_level, cap, step, power):
     if inverse is not None:
         assert inverse.agrees_with(invert_series(a_fine, loop_level))
 
-    assert _refines(seminorm(a, params), seminorm(a_fine, params))
+    assert _refines(seminorm_order(a, norm_level), seminorm_order(a_fine, norm_level))
 
-    value = _attempt(lambda: loc_seminorm(LocalizedElem(num, power), a, params))
-    if value is not None:
-        fine_value = loc_seminorm(LocalizedElem(num_fine, power), a_fine, params)
-        assert _refines(value, fine_value)
+    order = _attempt(lambda: loc_seminorm(LocalizedElem(num, power), a, norm_level))
+    if order is not None:
+        fine_order = loc_seminorm(LocalizedElem(num_fine, power), a_fine, norm_level)
+        assert _refines(order, fine_order)
 
 
 @given(
@@ -167,15 +168,14 @@ def test_approximant_distance_refines(f, j, band, norm_level, loop_level, cap, s
     _assume_inverse_support(f, j, loop_level)
 
     def run(c):
-        return approximate_coefficient(f, 2, j, band, norm_level, Fraction(1, 2), c,
-                                       loop_level)
+        return approximate_coefficient(f, 2, j, band, norm_level, c, loop_level)
 
     result = _attempt(lambda: run(cap))
     if result is None:
         return
     fine = run(cap + step)
     assert result.model.agrees_with(fine.model)
-    assert _refines(result.distance, fine.distance)
+    assert _refines(result.order, fine.order)
 
 
 @given(
@@ -192,8 +192,8 @@ def test_convergence_rows_refine(f, j, n_max, norm_level, loop_level, cap, step)
         _assume_inverse_support(f, j, loop_level)
 
     def run(c):
-        return convergence_experiment(2, f, j, range(1, n_max + 1), norm_level,
-                                      Fraction(1, 2), c, loop_level)
+        return convergence_experiment(2, f, j, range(1, n_max + 1), norm_level, c,
+                                      loop_level)
 
     rows = _attempt(lambda: run(cap))
     if rows is None:
@@ -201,8 +201,7 @@ def test_convergence_rows_refine(f, j, n_max, norm_level, loop_level, cap, step)
     fine_rows = run(cap + step)
     assert [row.n for row in rows] == [row.n for row in fine_rows]
     for row, fine in zip(rows, fine_rows):
-        assert _refines(SemiNormValue(row.distance, row.upper_bound),
-                        SemiNormValue(fine.distance, fine.upper_bound))
+        assert _refines(row.order, fine.order)
 
 
 # The property suites on a series and on its truncation to a lower cap: an

@@ -3,10 +3,13 @@ import json
 import sys
 from collections import defaultdict
 
+from fractions import Fraction
+
 import pytest
 
 from loopalg import cli
 from loopalg.cli import main
+from loopalg.laurent import AtLeastCap
 
 
 def run(capsys, *argv):
@@ -90,6 +93,20 @@ class TestNorm:
         assert [r["value"] for r in records] == ["1", "2", "4"]
         assert all(not r["upper_bound"] for r in records)
 
+    def test_epsilon_is_the_unit_of_the_printed_value(self, capsys):
+        # Nothing of x1^2 + x2 survives level 0 below the cap: eps^-1 bounds it.
+        code, out, _ = run(capsys, "norm", "--f", "x1^2+x2", "--d", "2", "--n", "3",
+                           "--cap", "2", "--levels", "0,1", "--epsilon", "2/3",
+                           "--format", "csv")
+        assert (code, out) == (0, "level,value,upper_bound\n0,3/2,true\n1,9/4,false\n")
+
+    def test_value_from_order(self):
+        eps = Fraction(2, 3)
+        assert cli.value_from_order(-2, eps) == ("9/4", False)
+        assert cli.value_from_order(3, eps) == ("8/27", False)
+        assert cli.value_from_order(AtLeastCap(-1), eps) == ("3/2", True)
+        assert cli.value_from_order(AtLeastCap(None), eps) == ("0", False)
+
 
 class TestConverge:
     def test_plain_table(self, capsys):
@@ -130,6 +147,15 @@ class TestConverge:
         assert run(capsys, "converge", *argv) == (1, "", "error: level must be >= 0\n")
         code, _, err = run(capsys, "converge", *argv, "--cap", "1")
         assert code == 2 and "cap of at least 7" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--mode", "plain", "--loop-level", "-2"),
+        ("--mode", "complement", "--f", "x1+1", "--d", "1", "--N", "0", "--loop-level", "-1"),
+    ])
+    def test_negative_loop_level_is_input_error(self, capsys, argv):
+        assert run(capsys, "converge", *argv) == (
+            1, "", "error: truncation level must be >= 0\n"
+        )
 
 
 class TestNormLevel:
@@ -189,6 +215,15 @@ class TestApprox:
     def test_negative_norm_level_is_input_error(self, capsys):
         assert run(capsys, "approx", "--f", "x1", "--d", "1", "--j", "1", "--N", "-1",
                    "--loop-level", "1") == (1, "", "error: level must be >= 0\n")
+        # Without --loop-level the loop level comes from the norm level, which
+        # is refused before it is used.
+        assert run(capsys, "approx", "--f", "x1+1", "--d", "1", "--N", "-1") == (
+            1, "", "error: level must be >= 0\n"
+        )
+
+    def test_negative_loop_level_is_input_error(self, capsys):
+        assert run(capsys, "approx", "--f", "x1+1", "--d", "1", "--N", "0",
+                   "--loop-level", "-1") == (1, "", "error: truncation level must be >= 0\n")
 
 
 class TestCheck:

@@ -24,11 +24,10 @@ from loopalg.projector import (
     apply_nu_poly_localized,
     make_projector,
 )
-from loopalg.seminorm import SemiNormParams, SemiNormValue, seminorm_order
+from loopalg.seminorm import seminorm_order
 
+from .helpers import value
 from .strategies import poly_series
-
-EPS = Fraction(1, 2)
 
 
 def _build(cap):
@@ -174,41 +173,40 @@ class TestLocSemiNorm:
     def test_z_squared_over_a(self, setting):
         _, a, _, _ = setting
         u = elem(z_power(2), 1)
-        value = loc_seminorm(u, a, SemiNormParams(EPS, 1))
-        assert value == SemiNormValue(Fraction(1, 8), False)
+        # ord z^2 - ord a = 2 - (-1) at level 1.
+        assert loc_seminorm(u, a, 1) == 3
+        assert value(loc_seminorm(u, a, 1)) == (Fraction(1, 8), False)
 
     def test_unit(self, setting):
         _, a, _, _ = setting
-        assert loc_seminorm(elem(poly_const_series(1), 0), a,
-                            SemiNormParams(EPS, 1)).value == 1
+        assert value(loc_seminorm(elem(poly_const_series(1), 0), a, 1)) == (1, False)
 
     def test_zero(self, setting):
         _, a, _, _ = setting
         u = elem(TruncSeries.zero(), 3)
-        assert loc_seminorm(u, a, SemiNormParams(EPS, 1)) == SemiNormValue(Fraction(0), False)
+        assert loc_seminorm(u, a, 1) == AtLeastCap(None)
+        assert value(loc_seminorm(u, a, 1)) == (Fraction(0), False)
 
     def test_dead_denominator_rejected(self):
         a = TruncSeries({-1: xvar(1, -1)}, 3, floor=-1)
         with pytest.raises(GoodElementViolationError):
-            loc_seminorm(elem(poly_const_series(1), 1), a, SemiNormParams(EPS, 0))
+            loc_seminorm(elem(poly_const_series(1), 1), a, 0)
 
 
-def _reference_loc_seminorm(u, a, params):
-    """loc_seminorm with the order-to-value rule written out by hand, as it
-    was before it read the numerator's value through value_from_order."""
-    a_order = seminorm_order(a, params.level)
+def _reference_loc_seminorm(u, a, level, epsilon):
+    """|num| * |a|^(-pow) as (value, is_upper_bound), with the order-to-value
+    rule written out by hand, as loc_seminorm computed it on values."""
+    a_order = seminorm_order(a, level)
     if isinstance(a_order, AtLeastCap):
         raise GoodElementViolationError(
-            f"denominator semi-norm at level {params.level} is zero or only bounded"
+            f"denominator semi-norm at level {level} is zero or only bounded"
         )
-    num_order = seminorm_order(u.num, params.level)
+    num_order = seminorm_order(u.num, level)
     if isinstance(num_order, AtLeastCap):
         if num_order.cap is None:
-            return SemiNormValue(Fraction(0), False)
-        return SemiNormValue(
-            params.epsilon ** (num_order.cap - u.pow * a_order), True
-        )
-    return SemiNormValue(params.epsilon ** (num_order - u.pow * a_order), False)
+            return Fraction(0), False
+        return epsilon ** (num_order.cap - u.pow * a_order), True
+    return epsilon ** (num_order - u.pow * a_order), False
 
 
 _NORM_BASES = {
@@ -236,11 +234,9 @@ class TestLocSemiNormMatchesReference:
                strat.integers(min_value=0, max_value=2))
         def check(num, power, name, level):
             a, u = _NORM_BASES[name], elem(num, power)
-            params = SemiNormParams(Fraction(2, 3), level)
-            value = loc_seminorm(u, a, params)
-            assert value == _reference_loc_seminorm(u, a, params)
-            seen.add("bound" if value.is_upper_bound else "zero" if not value.value
-                     else "exact")
+            got = value(loc_seminorm(u, a, level), Fraction(2, 3))
+            assert got == _reference_loc_seminorm(u, a, level, Fraction(2, 3))
+            seen.add("bound" if got[1] else "zero" if not got[0] else "exact")
 
         check()
         assert seen == {"bound", "zero", "exact"}
@@ -310,10 +306,9 @@ class TestModelMap:
     def test_seminorm_preserved_in_model(self, b, power):
         a, lead, inverse = _WIDE
         u = elem(b, power)
-        params = SemiNormParams(EPS, 1)
-        direct = loc_seminorm(u, a, params)
-        model = model_seminorm(loc_to_model_with(u, a), params, lead)
-        if direct.is_upper_bound or model.is_upper_bound:
+        direct = value(loc_seminorm(u, a, 1))
+        model = value(model_seminorm(loc_to_model_with(u, a), 1, lead))
+        if direct[1] or model[1]:
             return
         assert direct == model
 
@@ -489,14 +484,11 @@ class TestMultiplicativity:
     def test_norm_multiplies_on_clean_powers(self, p1, p2):
         f = parse_poly("x1", 1)
         a = compose(f, ev_series(1, 1, 10))
-        params = SemiNormParams(EPS, 1)
         u = elem(z_power(2), p1)
         v = elem(TruncSeries.exact({1: xvar(1, 0)}), p2)
         product = LocalizedElem.reduced(u.num * v.num, p1 + p2, a)
-        assert (
-            loc_seminorm(product, a, params).value
-            == loc_seminorm(u, a, params).value * loc_seminorm(v, a, params).value
-        )
+        norms = [value(loc_seminorm(w, a, 1))[0] for w in (product, u, v)]
+        assert norms[0] == norms[1] * norms[2]
 
 
 def test_model_zero_test_requires_live_base():

@@ -18,10 +18,10 @@ from loopalg.loopspace import (
     ev_series,
     invert_series,
     relations,
-    substitute_y,
 )
 
 from .strategies import ambient_polys
+from .helpers import substitute_y
 
 
 def x(i, j):

@@ -6,7 +6,7 @@ import hypothesis.strategies as strat
 
 from loopalg.errors import PrecisionExhaustedError
 from loopalg.exactpoly import Poly, parse_poly, xvar
-from loopalg.laurent import TruncSeries
+from loopalg.laurent import AtLeastCap, TruncSeries
 from loopalg.localized import LocalizedElem, loc_to_model_with
 from loopalg.loopspace import compose, ev_series
 from loopalg.projector import (
@@ -18,6 +18,7 @@ from loopalg.projector import (
     make_projector,
 )
 
+from .helpers import value
 from .strategies import poly_series, polys
 
 EPS = Fraction(1, 2)
@@ -186,43 +187,42 @@ class TestApplyNuPolyLocalizedMatchesStepwise:
 
 class TestConvergencePlain:
     def test_center_slot_level_one(self):
-        rows = convergence_experiment(1, None, 0, range(1, 4), 1, EPS, 8)
-        assert [(r.n, r.distance, r.upper_bound) for r in rows] == [
-            (1, Fraction(1, 4), False),
-            (2, Fraction(1, 8), False),
-            (3, Fraction(1, 16), False),
+        rows = convergence_experiment(1, None, 0, range(1, 4), 1, 8)
+        assert [(r.n, value(r.order)) for r in rows] == [
+            (1, (Fraction(1, 4), False)),
+            (2, (Fraction(1, 8), False)),
+            (3, (Fraction(1, 16), False)),
         ]
-        assert [r.ord_exponent for r in rows] == [2, 3, 4]
+        assert [r.order for r in rows] == [2, 3, 4]
 
     def test_center_slot_level_zero(self):
-        rows = convergence_experiment(1, None, 0, [1], 0, EPS, 8)
-        assert rows[0].ord_exponent == 2 and rows[0].distance == Fraction(1, 4)
+        rows = convergence_experiment(1, None, 0, [1], 0, 8)
+        assert rows[0].order == 2 and value(rows[0].order)[0] == Fraction(1, 4)
 
     def test_exact_tail_exponent(self):
         for j in (-2, 0, 2):
             for level in (0, 1, 2):
-                rows = convergence_experiment(1, None, j, range(1, 7), level, EPS, 9)
+                rows = convergence_experiment(1, None, j, range(1, 7), level, 9)
                 for row in rows:
                     if row.n >= max(level, abs(j)) + 1:
-                        assert row.distance == EPS ** (row.n + 1)
-                        assert not row.upper_bound
+                        assert value(row.order) == (EPS ** (row.n + 1), False)
 
     def test_monotone(self):
-        rows = convergence_experiment(1, None, -1, range(1, 7), 2, EPS, 9)
-        distances = [r.distance for r in rows]
+        rows = convergence_experiment(1, None, -1, range(1, 7), 2, 9)
+        distances = [value(r.order)[0] for r in rows]
         assert all(a >= b for a, b in zip(distances, distances[1:]))
 
     def test_insufficient_cap(self):
         with pytest.raises(PrecisionExhaustedError) as info:
-            convergence_experiment(1, None, 0, range(1, 9), 1, EPS, 6)
+            convergence_experiment(1, None, 0, range(1, 9), 1, 6)
         assert info.value.required_cap == 10
 
 
 class TestConvergenceComplement:
     def test_first_slot(self):
         f = parse_poly("x1", 1)
-        rows = convergence_experiment(1, f, 1, range(1, 4), 1, EPS, 8)
-        assert [(r.n, r.distance) for r in rows] == [
+        rows = convergence_experiment(1, f, 1, range(1, 4), 1, 8)
+        assert [(r.n, value(r.order)[0]) for r in rows] == [
             (1, Fraction(1, 4)),
             (2, Fraction(1, 8)),
             (3, Fraction(1, 16)),
@@ -230,32 +230,33 @@ class TestConvergenceComplement:
 
     def test_matches_localized_route(self):
         f = parse_poly("x1", 1)
-        rows = convergence_experiment(1, f, 1, [2], 1, EPS, 8)
-        result = approximate_coefficient(f, 1, 1, 2, 1, EPS, 8)
-        assert rows[0].distance == result.distance.value
+        rows = convergence_experiment(1, f, 1, [2], 1, 8)
+        result = approximate_coefficient(f, 1, 1, 2, 1, 8)
+        assert rows[0].order == result.order
 
 
 class TestApproximateCoefficient:
     def test_band_one(self):
-        result = approximate_coefficient(parse_poly("x1", 1), 1, 1, 1, 1, EPS, 8)
-        assert result.distance.value == Fraction(1, 4)
-        assert not result.distance.is_upper_bound
+        result = approximate_coefficient(parse_poly("x1", 1), 1, 1, 1, 1, 8)
+        assert value(result.order) == (Fraction(1, 4), False)
         assert result.commutes
 
     def test_band_three(self):
-        result = approximate_coefficient(parse_poly("x1", 1), 1, 1, 3, 1, EPS, 8)
-        assert result.distance.value == Fraction(1, 16)
+        result = approximate_coefficient(parse_poly("x1", 1), 1, 1, 3, 1, 8)
+        assert value(result.order)[0] == Fraction(1, 16)
 
     def test_unit_hypersurface_is_fixed(self):
-        result = approximate_coefficient(parse_poly("1", 1), 1, 0, 2, 1, EPS, 8)
-        assert result.distance == type(result.distance)(Fraction(0), False)
+        result = approximate_coefficient(parse_poly("1", 1), 1, 0, 2, 1, 8)
+        assert result.order == AtLeastCap(None)
+        assert value(result.order) == (Fraction(0), False)
         assert result.element.pow == 0
 
     def test_element_stays_in_localisation(self):
-        result = approximate_coefficient(parse_poly("x1", 1), 1, 1, 2, 1, EPS, 8)
+        result = approximate_coefficient(parse_poly("x1", 1), 1, 1, 2, 1, 8)
         assert isinstance(result.element, LocalizedElem)
         assert result.element.pow <= 2 * 2 + 1
 
     def test_slot_below_support_rejected(self):
-        with pytest.raises(ValueError):
-            approximate_coefficient(parse_poly("x1", 1), 1, -1, 1, 1, EPS, 8)
+        # The loop level derived from slot -1 is -1: the slot is named.
+        with pytest.raises(ValueError, match="^slot -1 lies below the inverse support"):
+            approximate_coefficient(parse_poly("x1", 1), 1, -1, 1, 1, 8)

@@ -8,49 +8,51 @@ import hypothesis.strategies as strat
 from loopalg.errors import PrecisionExhaustedError
 from loopalg.exactpoly import xvar
 from loopalg.laurent import AtLeastCap, TruncSeries
-from loopalg import loopspace
+from loopalg import cli, loopspace
 from loopalg import seminorm as seminorm_module
 from loopalg.sampling import random_series
 from loopalg.seminorm import (
     CheckReport,
-    SemiNormParams,
-    SemiNormValue,
     check_good,
     check_isometry,
     check_ultrametric,
     order_exponent,
-    seminorm,
     seminorm_order,
 )
 
+from .helpers import value
 from .strategies import ambient_polys, poly_series
 
 EPS = Fraction(1, 2)
 
 
-def params(level):
-    return SemiNormParams(EPS, level)
+def norm(series, level, epsilon=EPS):
+    """The semi-norm as the CLI prints it: (eps^order, is_upper_bound)."""
+    return value(seminorm_order(series, level), epsilon)
 
 
 class TestSemiNorm:
     def test_projection_changes_order(self):
         s = TruncSeries({-2: xvar(1, -2), 0: xvar(1, 0)}, cap=1, floor=-2)
-        assert seminorm(s, params(1)) == SemiNormValue(Fraction(1), False)
-        assert seminorm(s, params(2)) == SemiNormValue(Fraction(4), False)
+        assert (seminorm_order(s, 1), seminorm_order(s, 2)) == (0, -2)
+        assert norm(s, 1) == (Fraction(1), False)
+        assert norm(s, 2) == (Fraction(4), False)
 
     def test_zero_series(self):
-        assert seminorm(TruncSeries.zero(), params(3)) == SemiNormValue(Fraction(0), False)
+        assert seminorm_order(TruncSeries.zero(), 3) == AtLeastCap(None)
+        assert norm(TruncSeries.zero(), 3) == (Fraction(0), False)
 
     def test_killed_window_is_upper_bound(self):
         s = TruncSeries({-3: xvar(1, -3)}, cap=-1, floor=-3)
-        value = seminorm(s, params(0))
-        assert value == SemiNormValue(EPS ** -1, True)
+        assert seminorm_order(s, 0) == AtLeastCap(-1)
+        assert norm(s, 0) == (EPS ** -1, True)
 
     def test_params_validated(self):
-        with pytest.raises(ValueError):
-            SemiNormParams(Fraction(3, 2), 0)
-        with pytest.raises(ValueError):
-            SemiNormParams(EPS, -1)
+        # eps is checked where the CLI reads it, the level where an order is.
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            cli._epsilon("epsilon", "3/2")
+        with pytest.raises(ValueError, match="^level must be >= 0$"):
+            seminorm_order(TruncSeries.zero(), -1)
 
 
 class TestCheckGood:
@@ -59,7 +61,7 @@ class TestCheckGood:
         report = check_good(s, [0, 1, 2], 3)
         assert report.passed
         for n in (0, 1, 2):
-            assert seminorm(s, params(n)).value == EPS ** (-n)
+            assert norm(s, n) == (EPS ** (-n), False)
 
     def test_square_is_good(self):
         f = xvar(1) ** 2
@@ -277,28 +279,21 @@ def _reference_check_ultrametric(pairs, levels, epsilon):
     counting as 0 and the right side's flag unread."""
 
     def norm_leq(lhs, rhs):
-        lhs_low = Fraction(0) if lhs.is_upper_bound else lhs.value
-        return lhs_low <= rhs.value
+        lhs_low = Fraction(0) if lhs[1] else lhs[0]
+        return lhs_low <= rhs
 
     records = []
     for sample, (s, t) in enumerate(pairs):
         total, product = s + t, s * t
         for level in sorted(levels):
-            p = SemiNormParams(epsilon, level)
-            ns, nt, n_sum, n_prod = (seminorm(u, p) for u in (s, t, total, product))
+            ns, nt, n_sum, n_prod = (norm(u, level, epsilon) for u in (s, t, total, product))
             records.append(
                 {
                     "sample": sample,
                     "level": level,
-                    "ultrametric_pass": norm_leq(
-                        n_sum, SemiNormValue(max(ns.value, nt.value))
-                    ),
-                    "submultiplicative_pass": norm_leq(
-                        n_prod, SemiNormValue(ns.value * nt.value)
-                    ),
-                    "upper_bound_involved": any(
-                        v.is_upper_bound for v in (ns, nt, n_sum, n_prod)
-                    ),
+                    "ultrametric_pass": norm_leq(n_sum, max(ns[0], nt[0])),
+                    "submultiplicative_pass": norm_leq(n_prod, ns[0] * nt[0]),
+                    "upper_bound_involved": any(v[1] for v in (ns, nt, n_sum, n_prod)),
                 }
             )
     passed = all(r["ultrametric_pass"] and r["submultiplicative_pass"] for r in records)
@@ -349,9 +344,9 @@ class TestTopologyWitness:
             values = []
             for m in range(1, 7):
                 s = TruncSeries.exact({-m: xvar(1, -m)})
-                values.append(seminorm(s, params(level)).value)
-            assert values[level:] == [Fraction(0)] * (6 - level)
-            assert all(v == EPS ** (-m) for m, v in zip(range(1, level + 1), values))
+                values.append(norm(s, level))
+            assert values[level:] == [(Fraction(0), False)] * (6 - level)
+            assert all(v == (EPS ** (-m), False) for m, v in zip(range(1, level + 1), values))
 
 
 class TestHomogeneityOnGoodElements:
