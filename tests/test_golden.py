@@ -113,6 +113,20 @@ GOLDEN = [
     (("approx", "--f", "2", "--d", "1", "--j", "0", "--band", "2", "--cap", "4",
       "--epsilon", "2/3"),
      0, "b73b3d968663d2b7b9c1d47ca3a9d4a74edaebe7f6a9c304f6159ca81b4d3316"),
+    # Recorded while an exact series still had cap None: the two kinds of
+    # infinity at the print edge. At cap 1 the inverse of x1+1 holds one
+    # known coefficient, so the approx distance is the bound "1/2" with
+    # "distance_is_upper_bound": true. The constant 2 inverts exactly, so
+    # every converge distance is the exact zero: "0", with an empty csv
+    # ord_exponent and a json null.
+    (("approx", "--f", "x1+1", "--d", "1", "--j", "0", "--N", "0", "--cap", "1"),
+     0, "95f79c3b713b08c762e957980b1de39082bcff817385ecfdc7c9e43b65c6636e"),
+    (("converge", "--mode", "complement", "--f", "2", "--d", "1", "--j", "0", "--n-max", "2",
+      "--N", "0", "--cap", "4", "--format", "csv"),
+     0, "e9745c291e9e6cc050c1e6cd14372fbb24b2b09fe2b4811f7bbb70492e65f3d6"),
+    (("converge", "--mode", "complement", "--f", "2", "--d", "1", "--j", "0", "--n-max", "2",
+      "--N", "0", "--cap", "4", "--format", "json"),
+     0, "8d5c107ec0e15cd59f05c65274af4c28387f9cf3f4d939d416a7545874300c0f"),
 ]
 
 # The option strings of each subcommand's --help: -h, --config, the flags of
