@@ -329,6 +329,8 @@ def cmd_check(cfg, args) -> int:
     d, cap, levels = cfg["d"], cfg["cap"], cfg["levels"]
     if not levels:
         raise ValueError("check needs at least one level")
+    # Refused before the samples or the composite are built at the top level.
+    seminorm.projection_zero_test(min(levels))
     top = max(levels)
     rng = random.Random(cfg["seed"])
 

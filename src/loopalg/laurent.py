@@ -5,14 +5,15 @@ A ``TruncSeries`` stores finitely many coefficients of an element of C((z))
 test, and scalar multiplication by int/Fraction):
 
     coeffs : {exponent m: nonzero coefficient}
-    cap    : int   -> every exponent m >= cap is UNKNOWN, or
-             None  -> the series is known exactly at every exponent
+    cap    : every exponent m >= cap is UNKNOWN; an int, or INF (+infinity)
+             for a series known exactly at every exponent
     floor  : int   -> every exponent below floor is known to be zero
 
 So the known window is [floor, cap) plus "zero below floor"; an exact series
-(cap None) is known everywhere.  Window propagation:
+(cap INF) is known everywhere, and the window rules below hold for it
+unchanged, since INF + n = INF and min(INF, n) = n.  Window propagation:
 
-    add:  cap = min of the finite caps, floor = min of the floors
+    add:  cap = min of the caps, floor = min of the floors
     mul:  cap = min(cap(s) + floor(t), cap(t) + floor(s)), floor = sum
     d/dz: both drop by one
 
@@ -22,20 +23,24 @@ everything from cap(s), floor(t) upward.  A product whose window closes
 raises PrecisionExhaustedError rather than returning an empty answer.
 """
 
-from typing import NamedTuple, Optional
+import math
+from typing import NamedTuple, Union
 
 from .errors import PrecisionExhaustedError
 from .exactpoly import div_exact, power_by_squaring
+
+# The cap of an exact series, +infinity: it compares above every exponent.
+INF = math.inf
 
 
 class AtLeastCap(NamedTuple):
     """z-adic order bounded below by the precision cap.
 
-    ``cap=None`` means the projected series is exactly zero (order +infinity);
+    ``cap=INF`` means the projected series is exactly zero (order +infinity);
     a finite cap means only that no known coefficient survived.
     """
 
-    cap: Optional[int]
+    cap: Union[int, float]
 
 
 def require_window(floor: int, cap: int) -> None:
@@ -44,14 +49,6 @@ def require_window(floor: int, cap: int) -> None:
         raise PrecisionExhaustedError(
             f"cap {cap} leaves the window [{floor}, {cap}) empty", required_cap=floor + 1
         )
-
-
-def _min_cap(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 class TruncSeries:
@@ -68,7 +65,7 @@ class TruncSeries:
             lowest = min(clean)
             if lowest < floor:
                 raise ValueError(f"coefficient at {lowest} lies below floor {floor}")
-            if cap is not None and max(clean) >= cap:
+            if max(clean) >= cap:
                 raise ValueError(f"coefficient at {max(clean)} is beyond cap {cap}")
         self.coeffs = clean
         self.cap = cap
@@ -79,7 +76,7 @@ class TruncSeries:
     @classmethod
     def exact(cls, coeffs) -> "TruncSeries":
         """A series known at every exponent (unstored coefficients are zero)."""
-        return cls(coeffs, cap=None)
+        return cls(coeffs, cap=INF)
 
     @classmethod
     def zero(cls) -> "TruncSeries":
@@ -98,23 +95,21 @@ class TruncSeries:
     # -- window bookkeeping ----------------------------------------------------
 
     def is_exact(self) -> bool:
-        return self.cap is None
+        return self.cap == INF
 
     def is_zero_window(self) -> bool:
         """No known nonzero coefficient (the window itself may be truncated)."""
         return not self.coeffs
 
     def _below(self, cap):
-        """The stored coefficients at exponents below `cap` (None: all)."""
-        if cap is None:
-            return dict(self.coeffs)
+        """The stored coefficients at exponents below `cap`."""
         return {m: c for m, c in self.coeffs.items() if m < cap}
 
     def coefficient(self, exponent: int):
         """The coefficient at `exponent`; int 0 when known-zero, None if unknown."""
         if exponent in self.coeffs:
             return self.coeffs[exponent]
-        if self.cap is not None and exponent >= self.cap:
+        if exponent >= self.cap:
             return None
         return 0
 
@@ -128,7 +123,7 @@ class TruncSeries:
             return self
         if self.is_exact() and self.is_zero_window():
             return other
-        cap = _min_cap(self.cap, other.cap)
+        cap = min(self.cap, other.cap)
         out = self._below(cap)
         for m, c in other._below(cap).items():
             prev = out.get(m)
@@ -150,13 +145,9 @@ class TruncSeries:
             other.is_exact() and other.is_zero_window()
         ):
             return TruncSeries.zero()
-        cap = None
-        if self.cap is not None:
-            cap = self.cap + other.floor
-        if other.cap is not None:
-            cap = _min_cap(cap, other.cap + self.floor)
+        cap = min(self.cap + other.floor, other.cap + self.floor)
         floor = self.floor + other.floor
-        if cap is not None and cap <= floor:
+        if cap <= floor:
             raise PrecisionExhaustedError(
                 f"product window [{floor}, {cap}) is empty"
             )
@@ -164,7 +155,7 @@ class TruncSeries:
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 m = m1 + m2
-                if cap is not None and m >= cap:
+                if m >= cap:
                     continue
                 prev = out.get(m)
                 out[m] = c1 * c2 if prev is None else prev + c1 * c2
@@ -181,19 +172,19 @@ class TruncSeries:
 
     def shift(self, offset: int) -> "TruncSeries":
         """Multiply by z^offset."""
-        cap = None if self.cap is None else self.cap + offset
         return TruncSeries(
-            {m + offset: c for m, c in self.coeffs.items()}, cap, self.floor + offset
+            {m + offset: c for m, c in self.coeffs.items()},
+            self.cap + offset,
+            self.floor + offset,
         )
 
     def derivative(self) -> "TruncSeries":
         """d/dz, termwise z^m -> m z^(m-1); the window slides down by one."""
-        cap = None if self.cap is None else self.cap - 1
         out = {}
         for m, c in self.coeffs.items():
             if m != 0:
                 out[m - 1] = m * c
-        return TruncSeries(out, cap, self.floor - 1)
+        return TruncSeries(out, self.cap - 1, self.floor - 1)
 
     def map_coefficients(self, fn) -> "TruncSeries":
         """Apply fn to every stored coefficient (dropping any that map to zero)."""
@@ -220,7 +211,7 @@ class TruncSeries:
         """Coefficientwise equality below the joint cap (floors are knowledge:
         absent coefficients count as zero). No zero coefficient is ever
         stored, so this is equality of the stored coefficients below it."""
-        cap = _min_cap(self.cap, other.cap)
+        cap = min(self.cap, other.cap)
         return self._below(cap) == other._below(cap)
 
     # -- order --------------------------------------------------------------------
@@ -249,7 +240,7 @@ class TruncSeries:
             if " " in text or text.startswith("-"):
                 text = f"({text})"
             parts.append(f"{text}*z^{m}")
-        if self.cap is not None:
+        if not self.is_exact():
             parts.append(f"O(z^{self.cap})")
         return " + ".join(parts) if parts else "0"
 
@@ -273,10 +264,10 @@ def divide_exact(num: TruncSeries, den: TruncSeries):
         return TruncSeries.zero()
     low = min(den.coeffs)
     lead = den.coeffs[low]
-    if num.cap is None:
+    if num.is_exact():
         # Exact numerators are only reduced against single-term exact
         # denominators; anything else may have an infinite quotient.
-        if den.cap is not None or len(den.coeffs) != 1:
+        if not den.is_exact() or len(den.coeffs) != 1:
             return None
         out = {}
         for m, c in num.coeffs.items():
@@ -286,7 +277,7 @@ def divide_exact(num: TruncSeries, den: TruncSeries):
             out[m - low] = q
         return TruncSeries.exact(out)
     floor_q = num.floor - low
-    if den.cap is not None and den.cap + floor_q < num.cap:
+    if den.cap + floor_q < num.cap:
         return None
     cap_q = num.cap - low
     quot = {}

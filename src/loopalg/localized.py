@@ -171,7 +171,7 @@ class LocalizedElem:
 def loc_seminorm(u: LocalizedElem, a: TruncSeries, level: int):
     """Order of num/a^pow at the level, ord num - pow * ord a, defined only
     where the order of a is exact. An exact order stays exact, a bound stays
-    a bound, and the exact zero stays AtLeastCap(None)."""
+    a bound, and the exact zero stays AtLeastCap(INF), as INF - shift is INF."""
     a_order = seminorm_order(a, level)
     if isinstance(a_order, AtLeastCap):
         raise GoodElementViolationError(
@@ -180,7 +180,7 @@ def loc_seminorm(u: LocalizedElem, a: TruncSeries, level: int):
     order, shift = seminorm_order(u.num, level), u.pow * a_order
     if not isinstance(order, AtLeastCap):
         return order - shift
-    return order if order.cap is None else AtLeastCap(order.cap - shift)
+    return AtLeastCap(order.cap - shift)
 
 
 # -- the comparison map into the localized coefficient model -------------------
@@ -200,12 +200,12 @@ def loc_to_model_with(u: LocalizedElem, a: TruncSeries) -> TruncSeries:
     lead = a.coeffs[m_low]
     if u.pow == 0:
         return lift_series(u.num, lead)
-    if a.cap is None and len(a.coeffs) > 1:
+    if a.is_exact() and len(a.coeffs) > 1:
         raise PrecisionExhaustedError(
             "inverse of an exact multi-term series has unbounded support; "
             "truncate the input to a finite cap first"
         )
-    width = 1 if a.cap is None else a.cap - m_low
+    width = 1 if a.is_exact() else a.cap - m_low
     steps = [
         (k, a.coeffs[m_low + k] * lead ** (k - 1))
         for k in range(1, width)
@@ -220,7 +220,7 @@ def loc_to_model_with(u: LocalizedElem, a: TruncSeries) -> TruncSeries:
         nums.append(-acc)
     inverse = TruncSeries(
         {r - m_low: n for r, n in enumerate(nums)},
-        None if a.cap is None else a.cap - 2 * m_low,
+        a.cap - 2 * m_low,
         floor=-m_low,
     )
     graded = TruncSeries(

@@ -4,14 +4,15 @@ At truncation level n the norm of a series is eps^(z-adic order of its image
 under the level-n projection), for a fixed rational 0 < eps < 1. Every
 inequality between these norms is one between orders, so the library works
 with orders alone: an int, or an AtLeastCap when no known coefficient
-survives (a bound) or the image is exactly zero. eps enters only where the
-CLI prints an order as a value.
+survives (a bound) or the image is exactly zero, whose order is +infinity
+(AtLeastCap(INF)). eps enters only where the CLI prints an order as a value,
+and infinity turns into None only in `order_exponent`.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .laurent import AtLeastCap, TruncSeries
+from .laurent import INF, AtLeastCap, TruncSeries
 
 
 def projection_zero_test(level: int):
@@ -27,11 +28,17 @@ def seminorm_order(series: TruncSeries, level: int):
     return series.z_order(projection_zero_test(level))
 
 
+def _order_bound(order):
+    """The least order an order allows: the order, or the cap bounding it
+    (INF for the exact zero)."""
+    return order.cap if isinstance(order, AtLeastCap) else order
+
+
 def order_exponent(order) -> Optional[int]:
-    """The exponent of eps an order gives: the order, or the cap bounding it."""
-    if isinstance(order, AtLeastCap):
-        return order.cap
-    return order
+    """The exponent of eps an order gives, for printing: the order, the cap
+    bounding it, or None for the exact zero, whose norm eps^INF is 0."""
+    bound = _order_bound(order)
+    return None if bound == INF else bound
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,7 @@ def _power_order(series: TruncSeries, level: int, base, k: int):
     A series of which nothing survives gives the bound k * cap.
     """
     if isinstance(base, AtLeastCap):
-        return AtLeastCap(None if base.cap is None else k * base.cap)
+        return AtLeastCap(k * base.cap)
     lowest = series.coeffs[base].project(level)
     return (TruncSeries({base: lowest}, base + 1) ** k).z_order()
 
@@ -133,9 +140,9 @@ def check_isometry(pairs, levels) -> CheckReport:
 
 def _norm_at_most(order, exponent) -> bool:
     """|u| <= eps^exponent, read as ord u >= exponent since eps < 1. An
-    AtLeastCap passes, as a bound or the exact zero; an exponent of None is
-    the norm 0, which no exact order reaches."""
-    return isinstance(order, AtLeastCap) or (exponent is not None and order >= exponent)
+    AtLeastCap passes, as a bound or the exact zero; an exponent of INF is
+    the norm 0, which no int order reaches."""
+    return isinstance(order, AtLeastCap) or order >= exponent
 
 
 def check_ultrametric(pairs, levels) -> CheckReport:
@@ -150,18 +157,16 @@ def check_ultrametric(pairs, levels) -> CheckReport:
         total, product = s + t, s * t
         for level in levels:
             orders = [seminorm_order(u, level) for u in (s, t, total, product)]
-            es, et = order_exponent(orders[0]), order_exponent(orders[1])
-            # max(|s|, |t|) is eps^(the lesser exponent); the zero adds none.
-            ultra = min((e for e in (es, et) if e is not None), default=None)
-            submult = None if None in (es, et) else es + et
+            es, et = _order_bound(orders[0]), _order_bound(orders[1])
             records.append(
                 {
                     "sample": sample,
                     "level": level,
-                    "ultrametric_pass": _norm_at_most(orders[2], ultra),
-                    "submultiplicative_pass": _norm_at_most(orders[3], submult),
+                    # max(|s|, |t|) is eps^(the lesser exponent).
+                    "ultrametric_pass": _norm_at_most(orders[2], min(es, et)),
+                    "submultiplicative_pass": _norm_at_most(orders[3], es + et),
                     "upper_bound_involved": any(
-                        isinstance(o, AtLeastCap) and o.cap is not None for o in orders
+                        isinstance(o, AtLeastCap) and o.cap != INF for o in orders
                     ),
                 }
             )

@@ -206,8 +206,8 @@ def test_convergence_rows_refine(f, j, n_max, norm_level, loop_level, cap, step)
 
 # The property suites on a series and on its truncation to a lower cap: an
 # exact order a record reports at the lower cap is the one at the higher cap,
-# and a bound is at most the order found later (None, the exact zero's, lies
-# above every bound). A FAIL at the lower cap is a certain violation, so it
+# and a bound is at most the order found later (None, the printed exponent
+# of the exact zero, lies above every bound). A FAIL at the lower cap is a certain violation, so it
 # stays a FAIL.
 
 
@@ -237,7 +237,7 @@ def _series_and_lower_cap():
     exact = sampled.map(lambda s: TruncSeries.exact(s.coeffs))
 
     def with_cap(series):
-        top = series.cap if series.cap is not None else max(series.coeffs, default=0) + 1
+        top = max(series.coeffs, default=0) + 1 if series.is_exact() else series.cap
         return strat.tuples(
             strat.just(series), strat.integers(min_value=series.floor + 1, max_value=top)
         )

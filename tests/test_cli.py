@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 from collections import defaultdict
 
@@ -9,7 +10,7 @@ import pytest
 
 from loopalg import cli
 from loopalg.cli import main
-from loopalg.laurent import AtLeastCap
+from loopalg.laurent import INF, AtLeastCap
 
 
 def run(capsys, *argv):
@@ -105,7 +106,7 @@ class TestNorm:
         assert cli.value_from_order(-2, eps) == ("9/4", False)
         assert cli.value_from_order(3, eps) == ("8/27", False)
         assert cli.value_from_order(AtLeastCap(-1), eps) == ("3/2", True)
-        assert cli.value_from_order(AtLeastCap(None), eps) == ("0", False)
+        assert cli.value_from_order(AtLeastCap(INF), eps) == ("0", False)
 
 
 class TestConverge:
@@ -283,11 +284,12 @@ class TestCheck:
             1, "", "error: dimension must be >= 1\n"
         )
 
-    @pytest.mark.parametrize("suite", ["isometry", "ultrametric"])
+    @pytest.mark.parametrize("suite", ["good", "isometry", "ultrametric"])
     def test_negative_level_is_input_error(self, capsys, suite):
-        # The samples are drawn at the top level, which must be a level.
-        assert run(capsys, "check", suite, "--d", "1", "--samples", "2",
-                   "--levels", "-5") == (1, "", "error: truncation level must be >= 0\n")
+        # The samples and the composite are built at the top level; a negative
+        # level is refused as a suite level before either is built.
+        assert run(capsys, "check", suite, "--f", "x1", "--d", "1", "--samples", "2",
+                   "--levels", "-5") == (1, "", "error: level must be >= 0\n")
 
     @pytest.mark.parametrize("suite", ["good", "isometry", "ultrametric"])
     def test_negative_level_below_the_top_is_input_error(self, capsys, suite):
@@ -313,6 +315,29 @@ class TestCheck:
         assert run(capsys, "norm", "--f", "x1", "--d", "1", "--config", str(config)) == (
             0, "[]\n", ""
         )
+
+
+class TestExactSeriesOutput:
+    # A constant f composes to an exact series, whose cap is +infinity, and
+    # the constant 2 inverts exactly, so each converge distance is the exact
+    # zero, whose order is +infinity. Neither infinity may reach the output.
+    @pytest.mark.parametrize("argv", [
+        ("norm", "--f", "3", "--d", "1", "--n", "1", "--levels", "0,1", "--format", "json"),
+        ("norm", "--f", "3", "--d", "1", "--n", "1", "--levels", "0,1", "--format", "csv"),
+        ("converge", "--mode", "complement", "--f", "2", "--d", "1", "--j", "0",
+         "--n-max", "2", "--N", "0", "--cap", "4", "--format", "csv"),
+        ("converge", "--mode", "complement", "--f", "2", "--d", "1", "--j", "0",
+         "--n-max", "2", "--N", "0", "--cap", "4", "--format", "json"),
+        ("approx", "--f", "2", "--d", "1", "--j", "0"),
+        ("invert", "--f", "3", "--d", "1", "--n", "1"),
+        ("relations", "--f", "3", "--d", "1", "--n", "1", "--cap", "2"),
+        ("relations", "--complement", "--f", "3", "--d", "1", "--n", "1", "--cap", "2"),
+        ("check", "good", "--f", "3", "--d", "1", "--levels", "0,1"),
+    ], ids=" ".join)
+    def test_infinity_never_prints(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+        assert not re.search(r"(?i)\b(inf|infinity|nan)\b", out)
 
 
 class TestPlumbing:

@@ -6,7 +6,7 @@ import hypothesis.strategies as strat
 
 from loopalg.errors import PrecisionExhaustedError
 from loopalg.exactpoly import const, xvar
-from loopalg.laurent import AtLeastCap, TruncSeries, divide_exact
+from loopalg.laurent import INF, AtLeastCap, TruncSeries, divide_exact
 from loopalg.localized import LocalizedCoef
 
 from .strategies import poly_series, rational_series
@@ -61,11 +61,11 @@ class TestAdd:
                           2: LocalizedCoef(const(3), 1, _L)}, cap=3))
     def test_matches_zero_padded_sum(self, s, t):
         # Oracle: pad a missing coefficient with 0, as in sum_m (s_m + t_m) z^m.
-        cap = min((c for c in (s.cap, t.cap) if c is not None), default=None)
+        cap = min(s.cap, t.cap)
         padded = {
             m: s.coeffs.get(m, 0) + t.coeffs.get(m, 0)
             for m in set(s.coeffs) | set(t.coeffs)
-            if cap is None or m < cap
+            if m < cap
         }
         assert s + t == TruncSeries(padded, cap, min(s.floor, t.floor))
 
@@ -165,9 +165,9 @@ def reference_agrees_with(s, t):
     """The coefficientwise loop agrees_with ran before it compared the two
     filtered dicts: a coefficient missing on one side must be falsy on the
     other, one present on both must be equal."""
-    cap = min((c for c in (s.cap, t.cap) if c is not None), default=None)
+    cap = min(s.cap, t.cap)
     for m in set(s.coeffs) | set(t.coeffs):
-        if cap is not None and m >= cap:
+        if m >= cap:
             continue
         a = s.coeffs.get(m)
         b = t.coeffs.get(m)
@@ -194,7 +194,7 @@ class TestAgreesWith:
         # the two agree on part of the window and either side may be exact.
         t_coeffs = {m: c for m, c in s.coeffs.items() if m < cut}
         t_coeffs.update((m, c) for m, c in noise.coeffs.items() if m >= cut)
-        t = TruncSeries(t_coeffs, None if t_exact else max(cut, noise.cap))
+        t = TruncSeries(t_coeffs, INF if t_exact else max(cut, noise.cap))
         if s_exact:
             s = TruncSeries.exact(s.coeffs)
         if power is not None:
@@ -247,7 +247,7 @@ class TestZOrder:
 
     def test_exact_zero_image(self):
         s = TruncSeries.exact({-2: xvar(1, -2)})
-        assert s.z_order(lambda c: not c.project(0)) == AtLeastCap(None)
+        assert s.z_order(lambda c: not c.project(0)) == AtLeastCap(INF)
 
     @given(poly_series(), poly_series(), strat.integers(min_value=0, max_value=3))
     def test_order_subadditive(self, s, t, level):
@@ -290,6 +290,28 @@ class TestHelpers:
     def test_multi_term_coefficient_is_parenthesized(self):
         s = TruncSeries({0: xvar(1, 0) + const(1)}, cap=1)
         assert str(s) == "(x1_0 + 1)*z^0 + O(z^1)"
+
+
+class TestExactCap:
+    """An exact series has cap INF, and the window rules run on it unchanged."""
+
+    def test_exact_series_has_cap_inf(self):
+        s = TruncSeries.exact({-1: Fraction(2)})
+        assert s.cap == INF and s.is_exact()
+        assert s.coefficient(10**9) == 0
+        assert str(s) == "2*z^-1"
+
+    def test_exact_times_truncated_takes_the_mul_rule(self):
+        s = TruncSeries.exact({-1: Fraction(2)})
+        t = frac_series({0: 1, 1: 3}, cap=3)
+        out = s * t
+        assert out.coeffs == {-1: 2, 0: 6} and out.cap == 2 and out.floor == -1
+        assert not out.is_exact()
+
+    def test_exact_stays_exact(self):
+        s = TruncSeries.exact({-1: Fraction(2), 1: Fraction(1)})
+        for out in (s + s, s - s, s * s, s ** 3, s.shift(4), s.derivative(), s.scale(3)):
+            assert out.cap == INF and out.is_exact()
 
 
 class TestDivideExact:

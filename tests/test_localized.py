@@ -7,7 +7,7 @@ import hypothesis.strategies as strat
 from loopalg import laurent, localized
 from loopalg.errors import GoodElementViolationError
 from loopalg.exactpoly import Poly, const, div_exact, parse_poly, xvar
-from loopalg.laurent import AtLeastCap, TruncSeries
+from loopalg.laurent import INF, AtLeastCap, TruncSeries
 from loopalg.localized import (
     LocalizedCoef,
     LocalizedElem,
@@ -184,7 +184,7 @@ class TestLocSemiNorm:
     def test_zero(self, setting):
         _, a, _, _ = setting
         u = elem(TruncSeries.zero(), 3)
-        assert loc_seminorm(u, a, 1) == AtLeastCap(None)
+        assert loc_seminorm(u, a, 1) == AtLeastCap(INF)
         assert value(loc_seminorm(u, a, 1)) == (Fraction(0), False)
 
     def test_dead_denominator_rejected(self):
@@ -203,7 +203,7 @@ def _reference_loc_seminorm(u, a, level, epsilon):
         )
     num_order = seminorm_order(u.num, level)
     if isinstance(num_order, AtLeastCap):
-        if num_order.cap is None:
+        if num_order.cap == INF:
             return Fraction(0), False
         return epsilon ** (num_order.cap - u.pow * a_order), True
     return epsilon ** (num_order - u.pow * a_order), False
@@ -333,7 +333,7 @@ def _reference_inverse(s):
     m_low = min(s.coeffs)
     lead = s.coeffs[m_low]
     one_over_lead = LocalizedCoef(Poly.const(1), 1, lead)
-    if s.cap is None:
+    if s.is_exact():
         return TruncSeries.exact({-m_low: one_over_lead})
     coeffs = {-m_low: one_over_lead}
     for r in range(1, s.cap - m_low):
@@ -451,7 +451,7 @@ class TestInverseAgainstSympy:
             assert (a.floor, a.cap) == (-level * degree, cap - (degree - 1) * level)
             exponents = range(a.floor, a.cap)
         else:
-            assert a.cap is None
+            assert a.cap == INF
             exponents = [0]
         for e in exponents:
             got = _to_sympy(sympy, a.coefficient(e))

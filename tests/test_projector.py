@@ -6,7 +6,7 @@ import hypothesis.strategies as strat
 
 from loopalg.errors import PrecisionExhaustedError
 from loopalg.exactpoly import Poly, parse_poly, xvar
-from loopalg.laurent import AtLeastCap, TruncSeries
+from loopalg.laurent import INF, AtLeastCap, TruncSeries
 from loopalg.localized import LocalizedElem, loc_to_model_with
 from loopalg.loopspace import compose, ev_series
 from loopalg.projector import (
@@ -247,7 +247,7 @@ class TestApproximateCoefficient:
 
     def test_unit_hypersurface_is_fixed(self):
         result = approximate_coefficient(parse_poly("1", 1), 1, 0, 2, 1, 8)
-        assert result.order == AtLeastCap(None)
+        assert result.order == AtLeastCap(INF)
         assert value(result.order) == (Fraction(0), False)
         assert result.element.pow == 0
 

@@ -7,7 +7,7 @@ import hypothesis.strategies as strat
 
 from loopalg.errors import PrecisionExhaustedError
 from loopalg.exactpoly import xvar
-from loopalg.laurent import AtLeastCap, TruncSeries
+from loopalg.laurent import INF, AtLeastCap, TruncSeries
 from loopalg import cli, loopspace
 from loopalg import seminorm as seminorm_module
 from loopalg.sampling import random_series
@@ -39,7 +39,7 @@ class TestSemiNorm:
         assert norm(s, 2) == (Fraction(4), False)
 
     def test_zero_series(self):
-        assert seminorm_order(TruncSeries.zero(), 3) == AtLeastCap(None)
+        assert seminorm_order(TruncSeries.zero(), 3) == AtLeastCap(INF)
         assert norm(TruncSeries.zero(), 3) == (Fraction(0), False)
 
     def test_killed_window_is_upper_bound(self):
@@ -100,20 +100,19 @@ def _reference_check_good(series, levels, max_power):
 
     def tighten_floor(s):
         if not s.coeffs:
-            return TruncSeries({}, s.cap, s.cap if s.cap is not None else 0)
+            return TruncSeries({}, s.cap, 0 if s.is_exact() else s.cap)
         return TruncSeries(s.coeffs, s.cap, min(s.coeffs))
 
     def slice_below(s, cap):
-        if s.cap is not None and cap >= s.cap:
+        if not s.is_exact() and cap >= s.cap:
             return s
-        if s.cap is None and (not s.coeffs or cap > max(s.coeffs)):
+        if s.is_exact() and (not s.coeffs or cap > max(s.coeffs)):
             return s
         return TruncSeries({m: c for m, c in s.coeffs.items() if m < cap}, cap, s.floor)
 
     def power_order(projected, k):
         if not projected.coeffs:
-            cap = None if projected.cap is None else projected.cap + (k - 1) * projected.floor
-            return AtLeastCap(cap)
+            return AtLeastCap(projected.cap + (k - 1) * projected.floor)
         width = 1
         while True:
             part = slice_below(projected, projected.floor + width)
@@ -123,7 +122,10 @@ def _reference_check_good(series, levels, max_power):
             width *= 2
 
     def exponent(order):
-        return order.cap if isinstance(order, AtLeastCap) else order
+        if isinstance(order, AtLeastCap):
+            # The exact zero's exponent is printed as None.
+            return None if order.cap == INF else order.cap
+        return order
 
     records = []
     for level in sorted(levels):
@@ -164,7 +166,7 @@ def _check_good_inputs():
     dead = strat.builds(
         lambda s, is_exact: TruncSeries(
             {m: c * xvar(1, -4) for m, c in s.coeffs.items()},
-            None if is_exact else s.cap,
+            INF if is_exact else s.cap,
             s.floor,
         ),
         poly_series(dim=2, level=4),
@@ -308,7 +310,7 @@ def _ultrametric_inputs():
     dead = strat.builds(
         lambda s, is_exact: TruncSeries(
             {m: c * xvar(1, -3) for m, c in s.coeffs.items()},
-            None if is_exact else s.cap,
+            INF if is_exact else s.cap,
             s.floor,
         ),
         poly_series(level=3),
@@ -373,8 +375,8 @@ def test_norm_at_most_reads_orders():
     assert norm_at_most(1, 0)  # eps^1 <= eps^0
     assert norm_at_most(AtLeastCap(0), 1)  # a bound could be any order from 0 up
     assert not norm_at_most(-1, 1)  # eps^-1 > eps^1
-    assert norm_at_most(AtLeastCap(None), None)  # 0 <= 0
-    assert not norm_at_most(5, None)  # eps^5 > 0
+    assert norm_at_most(AtLeastCap(INF), INF)  # 0 <= 0
+    assert not norm_at_most(5, INF)  # eps^5 > 0
 
 
 def test_random_series_rejects_a_negative_level():
