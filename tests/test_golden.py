@@ -127,6 +127,18 @@ GOLDEN = [
     (("converge", "--mode", "complement", "--f", "2", "--d", "1", "--j", "0", "--n-max", "2",
       "--N", "0", "--cap", "4", "--format", "json"),
      0, "8d5c107ec0e15cd59f05c65274af4c28387f9cf3f4d939d416a7545874300c0f"),
+    # Recorded before series products, the inverse recursion and div_exact's
+    # int quotients went through one multiply-accumulate kernel: leads whose
+    # coefficients are not +-1. A multi-term lead 2*x1*x2 + 3*x2^2 (the
+    # general-divisor path), quotients that stay Fractions, and a band of
+    # localized elements over the lead 3*x1*x2.
+    (("invert", "--f", "2*x1*x2+3*x2^2+1", "--d", "2", "--n", "1", "--cap", "4"),
+     0, "4362e835e3343752fae207a52bdae707ed6795151ad6df609e7617da36acf772"),
+    (("invert", "--f", "2*x1^2+1", "--d", "1", "--n", "2", "--cap", "5"),
+     0, "1637864fa843f92bbd0f90aa217122ab0ee1920ce2a465a962bed128c0e1e148"),
+    (("approx", "--f", "3*x1*x2+x1+2", "--d", "2", "--j", "2", "--band", "2", "--N", "1",
+      "--cap", "5"),
+     0, "6202a78eb01241e97fde50558af64bff4060f733c78c139d39fc84b6b38e3d15"),
 ]
 
 # The option strings of each subcommand's --help: -h, --config, the flags of
