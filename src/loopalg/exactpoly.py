@@ -20,7 +20,9 @@ dicts are equal. Integer coefficients stay machine-cheap ``int``s; a
 ``Fraction`` appears only where a real denominator does. The public
 ``Poly(terms)`` constructor checks and normalises what it is given; the
 kernel's own results (sums, negations, products, quotients, projections)
-are built by ``_trusted``, which takes a dict already in that form.
+are built by ``_trusted``, which takes a dict already in that form. A
+product, and a whole sum of products (``sum_of_products``), adds every term
+product into one term table and builds a single Poly from it at the end.
 
 Terms are ordered by graded lex (total degree, then exponents in VarRef
 order), largest first; the order is a single sort key, ``_mono_key``, used
@@ -251,12 +253,8 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                prev = out.get(mono)
-                out[mono] = c1 * c2 if prev is None else prev + c1 * c2
-        return _trusted({m: _exact(c) for m, c in out.items() if c})
+        _accumulate(out, self, other)
+        return _finish(out)
 
     __rmul__ = __mul__
 
@@ -333,6 +331,44 @@ def _trusted(terms):
     return poly
 
 
+def _accumulate(out, p, q):
+    """Add every term product of the Polys p and q into the term table `out`,
+    whose values are raw sums: zeros and integral Fractions are left for
+    `_finish`."""
+    q_terms = q.terms.items()
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q_terms:
+            mono = _mono_mul(m1, m2)
+            prev = out.get(mono)
+            out[mono] = c1 * c2 if prev is None else prev + c1 * c2
+
+
+def _finish(out):
+    """The Poly of a term table `_accumulate` filled."""
+    return _trusted({m: _exact(c) for m, c in out.items() if c})
+
+
+def sum_of_products(pairs):
+    """The sum of a*b over the (a, b) pairs; the zero Poly when there are none.
+
+    Every pair of two Polys adds its term products into one term table, so
+    the sum builds a single Poly however many pairs it has (the accumulating
+    design of S. C. Johnson, "Sparse polynomial arithmetic", EUROSAM 1974).
+    Any other pair (a LocalizedCoef, an int or a Fraction) is multiplied and
+    added with its own `*` and `+`.
+    """
+    out = {}
+    rest = None
+    for a, b in pairs:
+        if type(a) is Poly and type(b) is Poly:
+            _accumulate(out, a, b)
+        else:
+            rest = a * b if rest is None else rest + a * b
+    if rest is None:
+        return _finish(out)
+    return rest + _finish(out) if out else rest
+
+
 def power_by_squaring(base, exponent: int, one):
     """base ** exponent by repeated squaring; `one` is the result for 0."""
     if exponent < 0:
@@ -374,6 +410,17 @@ def const(value) -> Poly:
     return Poly.const(value)
 
 
+def _quotient(coeff, den_coeff, inverse):
+    """coeff / den_coeff in ``_exact`` form, given inverse = 1/Fraction(den_coeff).
+    Two ints that divide give their int quotient without a Fraction; any
+    other quotient is the Fraction product with the inverse."""
+    if type(coeff) is int and type(den_coeff) is int:
+        quotient, remainder = divmod(coeff, den_coeff)
+        if not remainder:
+            return quotient
+    return _exact(coeff * inverse)
+
+
 def div_exact(num: Poly, den: Poly):
     """Exact polynomial quotient num/den, or None when den does not divide num.
 
@@ -381,7 +428,7 @@ def div_exact(num: Poly, den: Poly):
     in the canonical monomial order. For an exact multiple the remainder
     reaches zero; any step whose leading monomial is not divisible by
     den's leading monomial proves indivisibility. Each coefficient quotient
-    is a Fraction product, so no division ever rounds.
+    is exact, so no division ever rounds (see `_quotient`).
 
     The remainder of a multi-term division lives in a dict and a heap of
     (_mono_key(m), m), after Monagan & Pearce, "Sparse polynomial division
@@ -404,10 +451,11 @@ def div_exact(num: Poly, den: Poly):
             q_mono = _mono_div(mono, den_mono)
             if q_mono is None:
                 return None
-            out[q_mono] = _exact(coeff * inverse)
+            out[q_mono] = _quotient(coeff, den_coeff, inverse)
         return _trusted(out)
     den_mono = min(den.terms, key=_mono_key)
-    inverse = 1 / Fraction(den.terms[den_mono])
+    den_coeff = den.terms[den_mono]
+    inverse = 1 / Fraction(den_coeff)
     tail = [(m, c) for m, c in den.terms.items() if m != den_mono]
     quotient = {}
     rem = dict(num.terms)
@@ -421,7 +469,7 @@ def div_exact(num: Poly, den: Poly):
         q_mono = _mono_div(mono, den_mono)
         if q_mono is None:
             return None
-        q_coeff = _exact(coeff * inverse)
+        q_coeff = _quotient(coeff, den_coeff, inverse)
         quotient[q_mono] = q_coeff
         for m2, c2 in tail:
             m = _mono_mul(q_mono, m2)

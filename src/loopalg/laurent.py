@@ -27,7 +27,7 @@ import math
 from typing import NamedTuple, Union
 
 from .errors import PrecisionExhaustedError
-from .exactpoly import div_exact, power_by_squaring
+from .exactpoly import Poly, div_exact, power_by_squaring, sum_of_products
 
 # The cap of an exact series, +infinity: it compares above every exponent.
 INF = math.inf
@@ -151,15 +151,15 @@ class TruncSeries:
             raise PrecisionExhaustedError(
                 f"product window [{floor}, {cap}) is empty"
             )
-        out = {}
+        pairs = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 m = m1 + m2
-                if m >= cap:
-                    continue
-                prev = out.get(m)
-                out[m] = c1 * c2 if prev is None else prev + c1 * c2
-        return TruncSeries(out, cap, floor)
+                if m < cap:
+                    pairs.setdefault(m, []).append((c1, c2))
+        return TruncSeries(
+            {m: sum_of_products(terms) for m, terms in pairs.items()}, cap, floor
+        )
 
     def scale(self, scalar):
         """Multiply every coefficient by a ring or rational scalar."""
@@ -280,15 +280,15 @@ def divide_exact(num: TruncSeries, den: TruncSeries):
     if den.cap + floor_q < num.cap:
         return None
     cap_q = num.cap - low
+    one = Poly.const(1)
+    tail = [(k, -c) for k, c in den.coeffs.items() if k != low]
     quot = {}
     for target in range(num.floor, num.cap):
-        acc = num.coeffs.get(target, 0)
-        for k, dc in den.coeffs.items():
-            if k == low:
-                continue
-            qc = quot.get(target - k)
-            if qc is not None:
-                acc = acc - qc * dc
+        # num_target - sum over k of q_(target-k) * den_k, in one kernel call.
+        pairs = [(quot[target - k], c) for k, c in tail if target - k in quot]
+        if target in num.coeffs:
+            pairs.append((num.coeffs[target], one))
+        acc = sum_of_products(pairs)
         if not acc:
             continue
         q = div_exact(acc, lead)

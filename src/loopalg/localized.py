@@ -26,7 +26,7 @@ at offset j as num_j L^j keeps offset r of the product over L^(r+p).
 from fractions import Fraction
 
 from . import laurent
-from .exactpoly import Poly, div_exact
+from .exactpoly import Poly, div_exact, sum_of_products
 from .errors import (
     GoodElementViolationError,
     NonInvertibleLeadingTermError,
@@ -206,18 +206,15 @@ def loc_to_model_with(u: LocalizedElem, a: TruncSeries) -> TruncSeries:
             "truncate the input to a finite cap first"
         )
     width = 1 if a.is_exact() else a.cap - m_low
+    # The steps -s_(m+k) L^(k-1), negated once so that each N_r is one sum.
     steps = [
-        (k, a.coeffs[m_low + k] * lead ** (k - 1))
+        (k, -(a.coeffs[m_low + k] * lead ** (k - 1)))
         for k in range(1, width)
         if m_low + k in a.coeffs
     ]
     nums = [Poly.const(1)]
     for r in range(1, width):
-        acc = Poly.zero()
-        for k, step in steps:
-            if k <= r:
-                acc = acc + step * nums[r - k]
-        nums.append(-acc)
+        nums.append(sum_of_products([(step, nums[r - k]) for k, step in steps if k <= r]))
     inverse = TruncSeries(
         {r - m_low: n for r, n in enumerate(nums)},
         a.cap - 2 * m_low,

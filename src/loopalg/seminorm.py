@@ -75,10 +75,10 @@ def _require_cases(cases, what):
 
 
 def _sorted_levels(levels):
-    """The levels in increasing order, refused when none or one below 0."""
+    """The levels in increasing order, refused when none or one below 0 (by
+    `projection_zero_test`, the one place a level is checked)."""
     _require_cases(levels, "level")
-    if min(levels) < 0:
-        raise ValueError("level must be >= 0")
+    projection_zero_test(min(levels))
     return sorted(levels)
 
 

@@ -21,6 +21,7 @@ from loopalg.exactpoly import (
     const,
     div_exact,
     parse_poly,
+    sum_of_products,
     xvar,
     yvar,
 )
@@ -459,6 +460,20 @@ class TestKernelMatchesReference:
         _assert_exact(p * scalar)
         assert (p * scalar).terms == _reference_mul(p, Poly.const(scalar))
 
+    @given(strat.lists(strat.tuples(mixed_polys, mixed_polys), max_size=3), strat.data())
+    def test_sum_of_products(self, pairs, data):
+        # 0-4 pairs; the fourth, when drawn, cancels one of the others.
+        if pairs and data.draw(strat.booleans()):
+            p, q = data.draw(strat.sampled_from(pairs))
+            pairs.append((-p, q))
+        expected = {}
+        for p, q in pairs:
+            for mono, coeff in _reference_mul(p, q).items():
+                expected[mono] = expected.get(mono, Fraction(0)) + coeff
+        total = sum_of_products(pairs)
+        _assert_exact(total)
+        assert total.terms == _reference_terms(expected)
+
     @given(mixed_polys, divisors)
     def test_div_exact_multiple(self, p, q):
         quotient = div_exact(p * q, q)
@@ -495,6 +510,34 @@ class TestKernelMatchesReference:
             ((VarRef("x", 1, -1), 1),): Fraction(2, 3),
         }
         _assert_exact(div_exact(6 * xvar(1, 0), const(3)))
+
+
+class TestExactQuotients:
+    """Quotients of int coefficients stay ints where they divide and are
+    proper Fractions where they do not, on both paths of div_exact."""
+
+    @pytest.mark.parametrize("num, den, expected", [
+        (-6, -2, 3), (6, -3, -2), (-3, 2, Fraction(-3, 2)), (7, 3, Fraction(7, 3)),
+    ])
+    def test_coefficient_quotient(self, num, den, expected):
+        x, y = xvar(1, 0), xvar(2, 0)
+        # A constant and a monomial divisor, then a two-term one, den*(x + y).
+        for dividend, divisor in ((const(num), const(den)), (num * x * y, den * y),
+                                  (num * x * (x + y), den * (x + y))):
+            (coeff,) = div_exact(dividend, divisor).terms.values()
+            assert coeff == expected and type(coeff) is type(expected)
+
+    @pytest.mark.parametrize("lead", [1, -1, 2, -2, 3])
+    @pytest.mark.parametrize("tail", [0, 1, -2])
+    def test_both_paths(self, lead, tail):
+        # tail 0 is a monomial divisor; otherwise the divisor has two terms.
+        x, y = xvar(1, 0), xvar(2, 0)
+        den = lead * x + tail * y
+        quotient = 6 * x ** 2 - 3 * x * y + Fraction(7, 3) * y + const(-4)
+        out = div_exact(quotient * den, den)
+        _assert_exact(out)
+        assert out.terms == quotient.terms
+        assert div_exact(quotient * den + yvar(9), den) is None
 
 
 def test_ambient_flag():

@@ -5,7 +5,7 @@ from hypothesis import example, given
 import hypothesis.strategies as strat
 
 from loopalg.errors import PrecisionExhaustedError
-from loopalg.exactpoly import const, xvar
+from loopalg.exactpoly import Poly, const, xvar
 from loopalg.laurent import INF, AtLeastCap, TruncSeries, divide_exact
 from loopalg.localized import LocalizedCoef
 
@@ -120,6 +120,50 @@ class TestMul:
         out = s * t
         assert out.coeffs == expected
         assert out.cap == cap and out.floor == s.floor + t.floor
+
+    _L = xvar(1, -1) + xvar(2, 0)
+
+    @given(poly_series(dim=2), poly_series(dim=2), strat.sampled_from([None, 0, 1, 2]))
+    # (x1_0 + z)(x1_0 - z): the z^1 coefficient cancels to zero.
+    @example(TruncSeries({0: xvar(1, 0), 1: const(1)}, cap=3),
+             TruncSeries({0: xvar(1, 0), 1: const(-1)}, cap=3), None)
+    @example(TruncSeries({0: xvar(1, 0), 1: const(1)}, cap=3),
+             TruncSeries({0: xvar(1, 0), 1: const(-1)}, cap=3), 1)
+    def test_matches_naive_poly_and_localized_convolution(self, s, t, power):
+        # Oracle: the per-pair convolution, a running `+` of each `*`.
+        if power is not None:
+            # Localized coefficients over a two-term base.
+            s, t = (u.map_coefficients(lambda c: LocalizedCoef(c, power, self._L))
+                    for u in (s, t))
+        cap = min(s.cap + t.floor, t.cap + s.floor)
+        if cap <= s.floor + t.floor:
+            with pytest.raises(PrecisionExhaustedError):
+                s * t
+            return
+        expected = {}
+        for m1, c1 in s.coeffs.items():
+            for m2, c2 in t.coeffs.items():
+                if m1 + m2 < cap:
+                    prev = expected.get(m1 + m2)
+                    expected[m1 + m2] = c1 * c2 if prev is None else prev + c1 * c2
+        assert s * t == TruncSeries(expected, cap, s.floor + t.floor)
+
+    def test_poly_coefficients_build_no_per_pair_product(self, monkeypatch):
+        # Each output coefficient is one sum of products: no Poly * Poly.
+        calls = []
+        original = Poly.__mul__
+
+        def spy(self, other):
+            calls.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", spy)
+        s = TruncSeries({0: xvar(1, 0), 1: xvar(1, 1) + const(2)}, cap=4)
+        t = TruncSeries({-1: xvar(2, -1), 0: const(3), 2: xvar(1, 0)}, cap=3, floor=-1)
+        out = s * t
+        assert calls == []
+        monkeypatch.undo()
+        assert out.coeffs[0] == xvar(1, 1) * xvar(2, -1) + 2 * xvar(2, -1) + 3 * xvar(1, 0)
 
 
 class TestPow:
