@@ -241,9 +241,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             scalar = _exact(other)
@@ -259,7 +256,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        return power_by_squaring(self, exponent, Poly.const(1))
+        return power({0: Poly.const(1), 1: self}, exponent)
 
     # -- structure queries -------------------------------------------------
 
@@ -369,18 +366,29 @@ def sum_of_products(pairs):
     return rest + _finish(out) if out else rest
 
 
-def power_by_squaring(base, exponent: int, one):
-    """base ** exponent by repeated squaring; `one` is the result for 0."""
+def power(table, exponent: int):
+    """table[1] ** exponent, made from the powers `table` already holds and
+    kept there; table[0], when present, is the result for exponent 0.
+
+    x^k is x^(k-1)*x for odd k and (x^(k/2))^2 for even k: the left-to-right
+    binary method (Knuth, TAOCP vol. 2, 4.6.3), bit_length + popcount - 2
+    products for a fresh table, each power made once however many callers
+    share the table.
+    """
     if exponent < 0:
         raise ValueError("negative powers are not defined here")
-    result = None
-    while exponent:
-        if exponent & 1:
-            result = base if result is None else result * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
-    return one if result is None else result
+    missing = []
+    k = exponent
+    while k > 1 and k not in table:
+        missing.append(k)
+        k = k - 1 if k & 1 else k >> 1
+    for k in reversed(missing):
+        if k & 1:
+            table[k] = table[k - 1] * table[1]
+        else:
+            half = table[k >> 1]
+            table[k] = half * half
+    return table[exponent]
 
 
 def _coerce(value):

@@ -27,7 +27,7 @@ import math
 from typing import NamedTuple, Union
 
 from .errors import PrecisionExhaustedError
-from .exactpoly import Poly, div_exact, power_by_squaring, sum_of_products
+from .exactpoly import Poly, div_exact, power, sum_of_products
 
 # The cap of an exact series, +infinity: it compares above every exponent.
 INF = math.inf
@@ -194,7 +194,7 @@ class TruncSeries:
 
     def __pow__(self, exponent: int):
         # [k*floor, cap + (k-1)*floor) is the window in any multiplication order.
-        return power_by_squaring(self, exponent, TruncSeries.constant(1))
+        return power({0: TruncSeries.constant(1), 1: self}, exponent)
 
     # -- comparisons -------------------------------------------------------------
 

@@ -101,9 +101,6 @@ class LocalizedCoef:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return LocalizedCoef(self.num * other, self.pow, self.base)

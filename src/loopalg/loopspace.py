@@ -13,7 +13,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .errors import NonInvertibleLeadingTermError
-from .exactpoly import Poly, xvar, yvar
+from .exactpoly import Poly, power, xvar, yvar
 from .laurent import TruncSeries, require_window
 from .localized import LocalizedElem, loc_to_model_with
 
@@ -47,23 +47,8 @@ def compose(f: Poly, series_list) -> TruncSeries:
     for ref in f.variables():
         if not 1 <= ref.coord <= dim:
             raise ValueError(f"polynomial uses x{ref.coord} but only {dim} series given")
-    # Powers of each coordinate series, shared by every monomial: x^k is
-    # x^(k-1)*x for odd k and (x^(k/2))^2 for even k, so an exponent costs
-    # at most twice its bit length in products, each power made once.
-    tables = {}
-
-    def power(coord, exponent):
-        x = series_list[coord - 1]
-        table = tables.setdefault(coord, {1: x})
-        missing = []
-        k = exponent
-        while k not in table:
-            missing.append(k)
-            k = k - 1 if k % 2 else k // 2
-        for k in reversed(missing):
-            table[k] = table[k - 1] * x if k % 2 else table[k // 2] * table[k // 2]
-        return table[exponent]
-
+    # One power table per coordinate series, shared by every monomial.
+    tables = {coord: {1: x} for coord, x in enumerate(series_list, 1)}
     total = TruncSeries.zero()
     for mono, coeff in f.terms.items():
         if not mono:
@@ -71,7 +56,7 @@ def compose(f: Poly, series_list) -> TruncSeries:
         else:
             term = None
             for ref, exponent in mono:
-                p = power(ref.coord, exponent)
+                p = power(tables[ref.coord], exponent)
                 term = p if term is None else term * p
             term = term.scale(coeff)
         total = total + term

@@ -43,11 +43,6 @@ class NuPoly:
             value = value * m + c
         return value
 
-    def __eq__(self, other):
-        if not isinstance(other, NuPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __repr__(self):
         return f"NuPoly({list(self.coeffs)})"
 

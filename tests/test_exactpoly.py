@@ -57,6 +57,33 @@ class TestArithmetic:
         assert p + p + p == xvar(1, 0)
 
 
+class TestPow:
+    def test_negative_exponent_is_refused(self):
+        with pytest.raises(ValueError, match="negative powers are not defined here"):
+            xvar(1, 0) ** -1
+
+    def test_zero_exponent_is_one(self):
+        assert (xvar(1, 0) + const(2)) ** 0 == Poly.const(1)
+        assert Poly.zero() ** 0 == Poly.const(1)
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_products_are_the_binary_method_count(self, monkeypatch, k):
+        # bit_length(k) - 1 squarings and popcount(k) - 1 multiplications by
+        # the base; repeated multiplication would take k - 1 from k = 4 on.
+        products = []
+        mul = Poly.__mul__
+
+        def counted(self, other):
+            products.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        power = (xvar(1, 0) + const(1)) ** k
+        assert len(products) == k.bit_length() + bin(k).count("1") - 2
+        assert power.terms[((VarRef("x", 1, 0), 1),)] == k
+        assert len(power.terms) == k + 1
+
+
 class TestProject:
     def test_kills_deep_variable(self):
         p = xvar(1, -2) * xvar(1, 0) + xvar(1, 1)
@@ -545,3 +572,17 @@ def test_ambient_flag():
     assert not xvar(1, 3).is_ambient()
     assert not yvar(0).is_ambient()
     assert xvar(1).variables() == {("x", 1, AMBIENT)}
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: xvar(1, 0).project(-1), ValueError, "projection level must be >= 0"),
+        (lambda: div_exact(xvar(1, 0), Poly.zero()), ZeroDivisionError,
+         "division by the zero polynomial"),
+        (lambda: xvar(0), ValueError, "coordinate index is 1-based"),
+    ],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

@@ -177,6 +177,32 @@ class TestPow:
         if k:
             assert (power.floor, power.cap) == (k * s.floor, s.cap + (k - 1) * s.floor)
 
+    def test_negative_exponent_is_refused(self):
+        with pytest.raises(ValueError, match="negative powers are not defined here"):
+            TruncSeries({0: xvar(1, 0)}, cap=2) ** -1
+
+    def test_zero_exponent_is_the_exact_one(self):
+        power = TruncSeries({-1: xvar(1, -1)}, cap=1, floor=-1) ** 0
+        assert power == TruncSeries.constant(1) and power.is_exact()
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_products_are_the_binary_method_count(self, monkeypatch, k):
+        # bit_length(k) - 1 squarings and popcount(k) - 1 multiplications by
+        # the base; repeated multiplication would take k - 1 from k = 4 on.
+        products = []
+        mul = TruncSeries.__mul__
+
+        def counted(self, other):
+            products.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(TruncSeries, "__mul__", counted)
+        s = TruncSeries({0: 1, 1: 1}, cap=3)
+        power = s ** k
+        assert len(products) == k.bit_length() + bin(k).count("1") - 2
+        binomials = {0: 1, 1: k, 2: k * (k - 1) // 2}
+        assert power.coeffs == {m: c for m, c in binomials.items() if c}
+
 
 class TestDerivative:
     def test_square(self):
@@ -374,3 +400,16 @@ class TestDivideExact:
         a = TruncSeries({-1: xvar(1, -1), 0: xvar(1, 0)}, 2, floor=-1)
         num = TruncSeries({0: const(1)}, 3, floor=0)
         assert divide_exact(num, a) is None
+
+
+@pytest.mark.parametrize(
+    "coeffs, cap, floor, message",
+    [
+        ({-1: const(1)}, 2, 0, "coefficient at -1 lies below floor 0"),
+        ({2: const(1)}, 2, 0, "coefficient at 2 is beyond cap 2"),
+        ({0: const(1), 5: const(1)}, 3, None, "coefficient at 5 is beyond cap 3"),
+    ],
+)
+def test_refuses_coefficients_outside_the_window(coeffs, cap, floor, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TruncSeries(coeffs, cap, floor)

@@ -497,3 +497,21 @@ def test_model_zero_test_requires_live_base():
     test = model_zero_test(1, xvar(1, -1))
     assert test(LocalizedCoef(xvar(1, -2), 1, xvar(1, -1)))
     assert not test(LocalizedCoef(xvar(1, 0), 1, xvar(1, -1)))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: LocalizedCoef(xvar(1, 0), 1, Poly.zero()), ZeroDivisionError,
+         "localisation base must be nonzero"),
+        (lambda: LocalizedCoef(xvar(1, 0), -1, xvar(1, -1)), ValueError,
+         "denominator power must be >= 0"),
+        (lambda: LocalizedCoef(const(1), 1, xvar(1, -1)) + LocalizedCoef(const(1), 1, xvar(2, -1)),
+         ValueError, "mixed localisation bases"),
+        (lambda: LocalizedElem(TruncSeries.constant(const(1)), -1), ValueError,
+         "denominator power must be >= 0"),
+    ],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

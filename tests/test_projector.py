@@ -260,3 +260,13 @@ class TestApproximateCoefficient:
         # The loop level derived from slot -1 is -1: the slot is named.
         with pytest.raises(ValueError, match="^slot -1 lies below the inverse support"):
             approximate_coefficient(parse_poly("x1", 1), 1, -1, 1, 1, 8)
+
+
+def test_make_projector_refuses_a_negative_band():
+    with pytest.raises(ValueError, match="^band width must be >= 0$"):
+        make_projector(0, -1)
+
+
+@pytest.mark.parametrize("f", [None, parse_poly("x1", 1)])
+def test_convergence_experiment_without_band_widths_is_empty(f):
+    assert convergence_experiment(1, f, 0, [], 1, 4) == []

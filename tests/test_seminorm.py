@@ -383,3 +383,9 @@ def test_random_series_rejects_a_negative_level():
     # Indices are drawn from [-level, 3): a negative level has none to draw.
     with pytest.raises(ValueError, match="truncation level must be >= 0"):
         random_series(random.Random(0), 1, -1, 1, 3)
+
+
+def test_check_good_refuses_a_max_power_below_one():
+    s = TruncSeries({0: xvar(1, 0)}, cap=2)
+    with pytest.raises(ValueError, match="^max_power must be >= 1$"):
+        check_good(s, [0], 0)
