@@ -26,11 +26,11 @@ product into one term table and builds a single Poly from it at the end.
 
 Terms are ordered by graded lex (total degree, then exponents in VarRef
 order), largest first; the order is a single sort key, ``_mono_key``, used
-both for printing and for picking leading terms in ``div_exact``. The key's
-part for each (VarRef, exponent) factor, and the factor's printed text, are
-made once per process and kept in a table keyed by the factor. Division
-by a multi-term divisor keeps its remainder in a heap ordered by that key,
-so each step finds its leading term without rescanning the remainder. All
+both for printing and for picking leading terms in ``div_exact``. The
+printed text of each (VarRef, exponent) factor is made once per process and
+kept in a table keyed by the factor. Division by a multi-term divisor keeps
+its remainder in a heap ordered by that key, so each step finds its leading
+term without rescanning the remainder. All
 coefficient arithmetic is exact rational arithmetic; nothing here ever
 rounds.
 """
@@ -76,25 +76,19 @@ def _mono_mul(m1, m2):
 
 
 class _FactorTable(dict):
-    """One value per (VarRef, exponent) factor, made by `make` on the first
+    """The printed text of each (VarRef, exponent) factor, made on the first
     lookup and kept for the rest of the process. A process sees few distinct
-    factors (variables times exponents), while every printed or ordered term
-    looks its factors up again."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
+    factors (variables times exponents), while every printed term looks its
+    factors up again."""
 
     def __missing__(self, factor):
-        value = self[factor] = self.make(*factor)
-        return value
+        ref, exp = factor
+        text = ref.render() if exp == 1 else f"{ref.render()}^{_digits(exp)}"
+        self[factor] = text
+        return text
 
 
-# The text of a factor, and its part of the sort key: (ref, -exp).
-_FACTOR_TEXT = _FactorTable(
-    lambda ref, exp: ref.render() if exp == 1 else f"{ref.render()}^{_digits(exp)}"
-)
-_FACTOR_KEY = _FactorTable(lambda ref, exp: (ref, -exp))
+_FACTOR_TEXT = _FactorTable()
 _exponent = itemgetter(1)
 
 
@@ -113,7 +107,7 @@ def _mono_key(mono):
     monomials by a third shifts every exponent equally, so the order is
     compatible with multiplication; exact division depends on that.
     """
-    return (-sum(map(_exponent, mono)), tuple(map(_FACTOR_KEY.__getitem__, mono)))
+    return (-sum(map(_exponent, mono)), tuple([(ref, -exp) for ref, exp in mono]))
 
 
 def _mono_div(mono, den_mono):

@@ -15,7 +15,6 @@ unchanged, since INF + n = INF and min(INF, n) = n.  Window propagation:
 
     add:  cap = min of the caps, floor = min of the floors
     mul:  cap = min(cap(s) + floor(t), cap(t) + floor(s)), floor = sum
-    d/dz: both drop by one
 
 The mul rule is what makes negative exponents honest: an unknown coefficient
 at cap(s) multiplies the lowest possible term z^floor(t) and pollutes
@@ -169,22 +168,6 @@ class TruncSeries:
         return TruncSeries(
             {m: scalar * c for m, c in self.coeffs.items()}, self.cap, self.floor
         )
-
-    def shift(self, offset: int) -> "TruncSeries":
-        """Multiply by z^offset."""
-        return TruncSeries(
-            {m + offset: c for m, c in self.coeffs.items()},
-            self.cap + offset,
-            self.floor + offset,
-        )
-
-    def derivative(self) -> "TruncSeries":
-        """d/dz, termwise z^m -> m z^(m-1); the window slides down by one."""
-        out = {}
-        for m, c in self.coeffs.items():
-            if m != 0:
-                out[m - 1] = m * c
-        return TruncSeries(out, self.cap - 1, self.floor - 1)
 
     def map_coefficients(self, fn) -> "TruncSeries":
         """Apply fn to every stored coefficient (dropping any that map to zero)."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .errors import PrecisionExhaustedError
-from .exactpoly import Poly
+from .exactpoly import Poly, _exact
 from .laurent import AtLeastCap, TruncSeries, require_window
 from .localized import LocalizedElem, loc_to_model_with, model_seminorm, model_zero_test
 from .loopspace import compose, ev_series, invert_series
@@ -23,22 +23,20 @@ from .seminorm import projection_zero_test
 
 
 class NuPoly:
-    """A polynomial in the Euler operator, stored low power first."""
+    """A polynomial in the Euler operator, stored low power first; each
+    coefficient is an int when integral and a Fraction otherwise, as in
+    `Poly`, so an integral p(m) costs no Fraction arithmetic."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [_exact(c) for c in coeffs]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
-        self.coeffs = tuple(coeffs) or (Fraction(0),)
+        self.coeffs = tuple(coeffs) or (0,)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, m: int) -> Fraction:
-        value = Fraction(0)
+    def __call__(self, m: int):
+        value = 0
         for c in reversed(self.coeffs):
             value = value * m + c
         return value
@@ -67,6 +65,10 @@ def make_projector(j: int, n: int) -> NuPoly:
             coeffs[k] -= i * coeffs[k + 1]
         scale *= j - i
     return NuPoly([c / scale for c in coeffs])
+
+
+# The Euler operator nu = z d/dz itself.
+NU = NuPoly([0, 1])
 
 
 def apply_nu_poly(p: NuPoly, series: TruncSeries) -> TruncSeries:
@@ -99,10 +101,10 @@ def apply_nu_poly_localized(
         return LocalizedElem(apply_nu_poly(p, u.num), 0)
     scale = math.lcm(*(c.denominator for c in p.coeffs))
     *lower, top = [int(c * scale) for c in p.coeffs]
-    nu_a = a.derivative().shift(1)
+    nu_a = apply_nu_poly(NU, a)
     num, power, lifted = u.num.scale(top), u.pow, u.num
     for c in reversed(lower):
-        num = a * num.derivative().shift(1) - (num * nu_a).scale(power)
+        num = a * apply_nu_poly(NU, num) - (num * nu_a).scale(power)
         power += 1
         lifted = lifted * a
         if c:
@@ -207,11 +209,12 @@ def approximate_coefficient(
     whether mapping to the model commutes with the diagonal action (it must).
     """
     a, inverse = _complement_setup(f, dim, j, norm_level, cap, loop_level)
+    p = make_projector(j, n)
     u = LocalizedElem.reduced(TruncSeries.constant(Poly.const(1)), 1, a)
-    element = apply_nu_poly_localized(make_projector(j, n), u, a)
+    element = apply_nu_poly_localized(p, u, a)
     model = loc_to_model_with(element, a)
     # The inverse is the model image of u = 1/a.
-    commutes = model.agrees_with(apply_nu_poly(make_projector(j, n), inverse))
+    commutes = model.agrees_with(apply_nu_poly(p, inverse))
     diff = model - _reference_term(inverse, j, "inverse")
     order = model_seminorm(diff, norm_level, a.coeffs[min(a.coeffs)])
     return ApproxResult(element, order, model, commutes)

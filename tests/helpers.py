@@ -1,6 +1,8 @@
 """Helpers shared by the test modules.
 
-`value` reads an order back as the CLI prints it. `substitute_y` is the
+`value` reads an order back as the CLI prints it. `nu` is the Euler
+operator z d/dz written out termwise, the reference the tests hold
+`projector.apply_nu_poly` against. `substitute_y` is the
 factoring witness of the complement relations: substituting the
 coefficients of the inverse of f(x(z)) for the y-variables of a generator
 of y(z) * f(x(z)) - 1 must give zero in the localized coefficient model.
@@ -20,6 +22,13 @@ def value(order, epsilon=Fraction(1, 2)):
     read back as (value, is_upper_bound)."""
     text, bound = value_from_order(order, epsilon)
     return Fraction(text), bound
+
+
+def nu(series: TruncSeries) -> TruncSeries:
+    """z d/dz: the z^m coefficient times m, in the same window."""
+    return TruncSeries(
+        {m: m * c for m, c in series.coeffs.items()}, series.cap, series.floor
+    )
 
 
 def substitute_y(generator: Poly, inverse: TruncSeries, base: Poly) -> LocalizedCoef:

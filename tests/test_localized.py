@@ -19,14 +19,14 @@ from loopalg.localized import (
 )
 from loopalg.loopspace import compose, ev_series, invert_series
 from loopalg.projector import (
-    NuPoly,
+    NU,
     apply_nu_poly,
     apply_nu_poly_localized,
     make_projector,
 )
 from loopalg.seminorm import seminorm_order
 
-from .helpers import value
+from .helpers import nu, value
 from .strategies import poly_series
 
 
@@ -55,10 +55,6 @@ def poly_const_series(c):
 
 def z_power(k):
     return TruncSeries.exact({k: Poly.const(1)})
-
-
-def nu(series):
-    return series.derivative().shift(1)
 
 
 class TestLocalizedCoef:
@@ -246,26 +242,24 @@ class TestLocDerivative:
     """nu = z d/dz on a localized element, by the quotient rule
     nu(N/a^q) = (a nu(N) - q N nu(a)) / a^(q+1)."""
 
-    NU = NuPoly([0, 1])
-
     def test_inverse(self, setting):
         # nu(1/a^2) = -2 nu(a)/a^3
         _, a, _, _ = setting
-        out = apply_nu_poly_localized(self.NU, elem(poly_const_series(1), 2), a)
+        out = apply_nu_poly_localized(NU, elem(poly_const_series(1), 2), a)
         assert out.pow == 3
         assert out.num.agrees_with(nu(a).scale(-2))
 
     def test_denominator_free(self, setting):
         _, a, _, _ = setting
         b = TruncSeries({2: xvar(1, 1)}, 5, floor=2)
-        out = apply_nu_poly_localized(self.NU, elem(b, 0), a)
+        out = apply_nu_poly_localized(NU, elem(b, 0), a)
         assert out.pow == 0 and out.num == nu(b)
 
     def test_quotient_rule_shape(self, setting):
         # nu(z/a) = (a z - z nu(a))/a^2
         _, a, _, _ = setting
         z = z_power(1)
-        out = apply_nu_poly_localized(self.NU, elem(z, 1), a)
+        out = apply_nu_poly_localized(NU, elem(z, 1), a)
         assert out.pow == 2
         assert out.num.agrees_with(a * z - z * nu(a))
 
@@ -316,14 +310,14 @@ class TestModelMap:
     def test_derivative_commutes_with_model_map(self, b, power):
         a, lead, inverse = _WIDE
         u = elem(b, power)
-        # d/dz(b/a^q) = (b' a - q b a')/a^(q+1)
+        # nu(b/a^q) = (nu(b) a - q b nu(a))/a^(q+1)
         if power == 0:
-            derivative = elem(b.derivative(), 0)
+            derivative = elem(nu(b), 0)
         else:
-            num = b.derivative() * a - b.scale(power) * a.derivative()
+            num = nu(b) * a - b.scale(power) * nu(a)
             derivative = LocalizedElem.reduced(num, power + 1, a)
         lhs = loc_to_model_with(derivative, a)
-        rhs = loc_to_model_with(u, a).derivative()
+        rhs = nu(loc_to_model_with(u, a))
         assert lhs.agrees_with(rhs)
 
 

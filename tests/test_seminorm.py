@@ -201,7 +201,7 @@ class TestCheckIsometry:
 
     def test_mismatch_detected(self):
         a = TruncSeries({-1: xvar(1, -1)}, cap=2, floor=-1)
-        b = a.shift(1)
+        b = TruncSeries({0: xvar(1, -1)}, cap=3, floor=0)  # z * a
         assert not check_isometry([(a, b)], [1]).passed
 
     @given(poly_series(level=4))
